@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 
 from .graph_core import WeightedGraph, gomory_hu_tree, min_S_cut
-from .selection import (ProblemParams, _ceil_snapped, find_fastest_subset,
-                        harmonic_batch_term)
+from .selection import (ProblemParams, _ceil_snapped, _harmonic_prefix,
+                        find_fastest_subset)
 
 INFINITY = math.inf
 
@@ -69,29 +69,6 @@ def iteration_count(params: ProblemParams, mode):
     return float(_ceil_snapped(4.0 * ld)) if mode == "constants" else ld
 
 
-def _harmonic_split(ratio, S, h):
-    """Argmin-aware version of the harmonic batch term.
-
-    Returns ``(m_star, deterministic, statistical)`` where the two parts
-    are the harmonic mean of the m* fastest compute times and the
-    batch-collection remainder ratio/Σ(1/h); their sum is the term
-    minimized by :func:`flowsgd.selection.harmonic_batch_term`.  Ties
-    keep the smallest m.
-    """
-    finite = sorted(h[i] for i in S if math.isfinite(h[i]))
-    if not finite:
-        raise ValueError("no finite compute time in subset")
-    best = (INFINITY, 0, 0.0, 0.0)
-    inv_sum = 0.0
-    for m, hv in enumerate(finite, start=1):
-        inv_sum += 1.0 / hv
-        det = m / inv_sum
-        stat = ratio / inv_sum
-        if det + stat < best[0]:
-            best = (det + stat, m, det, stat)
-    return best[1], best[2], best[3]
-
-
 def _workers(g, h=None):
     h = g.h if h is None else h
     return [i for i in g.nodes if math.isfinite(h[i])]
@@ -107,7 +84,8 @@ def grace_complexity(g: WeightedGraph, params: ProblemParams,
     k_iter = iteration_count(params, mode)
     choice, _ = find_fastest_subset(g, params)
     comm = 0.0 if choice.weight == INFINITY else params.d / choice.weight
-    m_star, det, stat = _harmonic_split(params.ratio, choice.subset, g.h)
+    _, m_star, det, stat = _harmonic_prefix(
+        params.ratio, (g.h[i] for i in choice.subset))
     terms = {"communication": comm * k_iter,
              "deterministic": det * k_iter,
              "statistical": stat * k_iter}
@@ -269,23 +247,18 @@ def topology_closed_form(kind, params: ProblemParams, *, n=None, b=None,
                                notes=_CLUSTER_NOTE)
         if len(cluster_h) != K:
             raise ValueError("cluster_h must list one time per cluster")
-        hs = sorted(cluster_h)
         # solo branch: the fastest cluster works alone
-        one = {"communication": 0.0, "deterministic": hs[0] * k_iter,
-               "statistical": hs[0] * (r / size) * k_iter}
-        # cooperate branch: harmonic mean over the m fastest clusters,
-        # each contributing a cluster's worth of workers
-        best = None
-        inv = 0.0
-        for m, hv in enumerate(hs, start=1):
-            inv += 1.0 / hv
-            det = m / inv
-            stat = r / (size * inv)
-            if best is None or det + stat < best[0]:
-                best = (det + stat, det, stat)
+        h_min = min(cluster_h)
+        one = {"communication": 0.0, "deterministic": h_min * k_iter,
+               "statistical": h_min * (r / size) * k_iter}
+        # cooperate branch: harmonic mean over the m fastest workers, a
+        # cluster's worth at each compute time; the optimum falls on a
+        # cluster boundary because the score is monotone within a cluster
+        _, _, det, stat = _harmonic_prefix(
+            r, [hv for hv in cluster_h for _ in range(size)])
         allb = {"communication": (params.d / cut) * k_iter,
-                "deterministic": best[1] * k_iter,
-                "statistical": best[2] * k_iter}
+                "deterministic": det * k_iter,
+                "statistical": stat * k_iter}
         return _two_regime(allb, one, "k_clusters", mode,
                            notes=_CLUSTER_NOTE)
     raise ValueError(f"unknown topology kind {kind!r}")

@@ -411,9 +411,6 @@ def _add_training(sub):
                      help="stop a run early at this squared gradient norm")
     sub.add_argument("--max-sim-seconds", type=float, default=None,
                      help="fail if a run simulates past this many seconds")
-    sub.add_argument("--comm", default="streamed",
-                     choices=("streamed", "store_forward"),
-                     help="AllReduce block handling")
 
 
 def build_parser():
@@ -431,8 +428,6 @@ def build_parser():
 
     pl = subs.add_parser("plan", help="subset choice, tree packing, schedule")
     _add_common(pl)
-    pl.add_argument("--comm", default="streamed",
-                    choices=("streamed", "store_forward"))
 
     si = subs.add_parser("simulate", help="one simulated training run")
     _add_common(si)
@@ -446,6 +441,11 @@ def build_parser():
     ex.add_argument("--methods", default="grace,sync")
     ex.add_argument("--seeds", default="0",
                     help="comma list ('0,3,7') or range ('0:20')")
+
+    for sub in (pl, si, ex):
+        sub.add_argument("--comm", default="streamed",
+                         choices=("streamed", "store_forward"),
+                         help="AllReduce block handling")
     return parser
 
 

@@ -221,19 +221,35 @@ class _Dinic:
                     queue.append(v)
         return level if level[t] >= 0 else None
 
-    def _push(self, u, t, limit, level, it, eps):
-        if u == t:
-            return limit
-        while it[u] < len(self.adj[u]):
-            v, cap, rev = self.adj[u][it[u]]
-            if cap > eps and level[v] == level[u] + 1:
-                pushed = self._push(v, t, min(limit, cap), level, it, eps)
-                if pushed > 0:
-                    self.adj[u][it[u]][1] -= pushed
-                    self.adj[v][rev][1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0.0
+    def _push(self, s, t, level, it, eps):
+        """Push the bottleneck of one s-t path in the level graph.
+
+        Depth-first along ``it[u]``, each node's next untried arc; a dead
+        end exhausts its node's arcs and advances its parent's.  Returns
+        0 when s itself runs out of arcs.
+        """
+        adj = self.adj
+        path = []  # nodes whose current arc ``it[u]`` leads toward t
+        u = s
+        while u != t:
+            while it[u] < len(adj[u]):
+                v, cap, _ = adj[u][it[u]]
+                if cap > eps and level[v] == level[u] + 1:
+                    path.append(u)
+                    u = v
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    return 0.0
+                u = path.pop()
+                it[u] += 1
+        pushed = min(adj[w][it[w]][1] for w in path)
+        for w in path:
+            arc = adj[w][it[w]]
+            arc[1] -= pushed
+            adj[arc[0]][arc[2]][1] += pushed
+        return pushed
 
     def max_flow(self, s, t):
         caps = [cap for row in self.adj for _, cap, _ in row]
@@ -245,7 +261,7 @@ class _Dinic:
                 return total, eps
             it = [0] * len(self.adj)
             while True:
-                pushed = self._push(s, t, INFINITY, level, it, eps)
+                pushed = self._push(s, t, level, it, eps)
                 if pushed <= 0:
                     break
                 total += pushed

@@ -288,6 +288,8 @@ def grace_sgd(g: WeightedGraph, objective: Objective,
     overrides it.  Each iteration collects max{⌈σ²/ε⌉, 1} gradients
     across the subset (whoever finishes contributes), reduces the sum
     over the packed trees, and steps with γ/ΣB.  γ defaults to 1/(2L).
+    ``mode`` is the AllReduce block handling, ``"streamed"`` or
+    ``"store_forward"`` (see :func:`flowsgd.simulator.run_allreduce`).
     """
     gamma = 1.0 / (2.0 * objective.L) if gamma is None else gamma
     if subset is None:
@@ -330,6 +332,8 @@ def leon_sgd(g: WeightedGraph, objectives, oracle: StochasticOracle,
     Every worker owns one component; accumulation continues until the
     rule fires, then the batch-averaged gradients are averaged again
     across workers and exchanged over trees spanning all workers.
+    ``mode`` is the AllReduce block handling, ``"streamed"`` or
+    ``"store_forward"``, as in :func:`grace_sgd`.
     """
     workers = sorted(_finite_workers(g))
     n = len(workers)

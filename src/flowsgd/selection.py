@@ -69,6 +69,31 @@ class ProblemParams:
         return self.sigma2 / self.epsilon
 
 
+def _harmonic_prefix(ratio, times):
+    """Minimize ``(m / sum_{i<=m} 1/h_i) * (1 + ratio / m)`` over m.
+
+    ``times`` are compute times; infinite ones (switches) are dropped and
+    the rest sorted ascending.  Returns ``(value, m, deterministic,
+    statistical)``: the minimum, its smallest argmin, and the two parts
+    of the minimum -- the harmonic mean ``m / sum 1/h`` of the m fastest
+    times and the batch-collection remainder ``ratio / sum 1/h``.
+    """
+    finite = sorted(t for t in times if math.isfinite(t))
+    if not finite:
+        raise ValueError("no finite compute time in subset")
+    if ratio < 0:
+        raise ValueError("ratio must be nonnegative")
+    best = None
+    inv_sum = 0.0
+    for m, hv in enumerate(finite, start=1):
+        inv_sum += 1.0 / hv
+        value = (m / inv_sum) * (1.0 + ratio / m)
+        if best is None or value < best[0]:
+            best = (value, m, inv_sum)
+    value, m, inv_sum = best
+    return value, m, m / inv_sum, ratio / inv_sum
+
+
 def harmonic_batch_term(ratio, S, h):
     """Best achievable batch-plus-straggler computation time within S.
 
@@ -80,17 +105,7 @@ def harmonic_batch_term(ratio, S, h):
     """
     if not S:
         raise ValueError("empty subset")
-    finite = sorted(h[i] for i in S if math.isfinite(h[i]))
-    if not finite:
-        raise ValueError("no finite compute time in subset")
-    if ratio < 0:
-        raise ValueError("ratio must be nonnegative")
-    best = INFINITY
-    inv_sum = 0.0
-    for m, hv in enumerate(finite, start=1):
-        inv_sum += 1.0 / hv
-        best = min(best, (m / inv_sum) * (1.0 + ratio / m))
-    return best
+    return _harmonic_prefix(ratio, (h[i] for i in S))[0]
 
 
 def subset_score(k, S, params, w_k, h):

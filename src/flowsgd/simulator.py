@@ -6,11 +6,13 @@ than per-coordinate packets.  Three kinds of activity are modeled:
 
 * back-to-back gradient computation with an arbitrary monotone stopping
   predicate (:func:`run_gradient_computation`);
-* pipelined tree streaming for AllReduce schedules and for the naive
-  aggregation round — a node forwards a coordinate the moment every
-  child has delivered it, so each hop adds one coordinate-slot of
-  startup plus its link latency (:func:`run_allreduce`,
-  :func:`run_naive_sync_round`);
+* tree streaming for AllReduce schedules and for the naive aggregation
+  round (:func:`run_allreduce`, :func:`run_naive_sync_round`), timed by
+  one iterative kernel: a stream runs at the slowest rate feeding it and
+  each hop adds its link latency plus a per-hop startup -- one
+  coordinate slot when pipelined, the whole block when stored and
+  forwarded -- in one bottom-up pass for the reduce phase and one
+  top-down pass for the broadcast;
 * point-to-point transfers that contend for links and share them
   max-min fairly, recomputed at every event boundary
   (:func:`run_separate_transfers`, :func:`shared_edge_rates`).
@@ -26,7 +28,7 @@ import csv
 import heapq
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph_core import WeightedGraph, unit_multigraph
@@ -182,54 +184,29 @@ def run_gradient_computation(workers, h, stop, max_seconds=1e9,
 
 # == Tree streaming ==
 
-def _tree_cascade(oriented, latency, rate, size, reverse=False):
-    """Per-edge (offset, finish) for one pipelined streaming phase.
+def _stream(arcs, latency, rate, size, slot):
+    """Per-arc ``(start, finish, rate)`` of one tree-streaming phase.
 
-    ``oriented`` lists (child, parent, instance) toward the pivot.  In
-    reduce order (default) a stream starts one coordinate-slot plus link
-    latency after its slowest child stream; ``reverse=True`` mirrors the
-    cascade for the broadcast phase.
+    ``arcs`` are directed links (u, v) in feeding order: every arc into u
+    comes before (u, v) -- bottom-up toward the pivot for a reduce,
+    top-down from it for a broadcast.  ``latency`` and ``rate`` map a
+    directed link to its latency and rate.  The stream on (u, v) runs at
+    the smaller of its link rate and the slowest stream into u, and
+    starts when the last stream into u has been under way for its link
+    latency plus ``slot / rate``: ``slot`` is one coordinate when
+    pipelined and the whole ``size`` when stored and forwarded.  Times
+    are relative to the start of the phase.
     """
-    children = {}
-    for child, parent, inst in oriented:
-        children.setdefault(parent, []).append((child, inst))
-
-    if not reverse:
-        offsets = {}
-
-        def offset_of(node):
-            best = 0.0
-            for child, inst in children.get(node, ()):
-                e = (child, node)
-                if e not in offsets:
-                    key = (min(e), max(e))
-                    offsets[e] = offset_of(child) + latency[key] + 1.0 / rate
-                best = max(best, offsets[e])
-            return best
-
-        flows = []
-        for child, parent, inst in oriented:
-            start = offset_of(child)
-            key = (min(child, parent), max(child, parent))
-            finish = start + latency[key] + size / rate
-            flows.append(((child, parent), inst, start, finish))
-        return flows
-
-    # broadcast: the pivot's outgoing streams start immediately; each
-    # deeper stream starts one slot + latency after its parent stream
-    flows = []
-    child_set = {c for cs in children.values() for c, _ in cs}
-    roots = [p for p in children if p not in child_set]
-    order = [(r, 0.0) for r in roots]
-    while order:
-        node, base = order.pop()
-        for child, inst in children.get(node, ()):
-            key = (min(child, node), max(child, node))
-            start = base
-            finish = start + latency[key] + size / rate
-            flows.append(((node, child), inst, start, finish))
-            order.append((child, start + latency[key] + 1.0 / rate))
-    return flows
+    rate_in, ready = {}, {}
+    out = []
+    for u, v in arcs:
+        r = min(rate[(u, v)], rate_in.get(u, INFINITY))
+        start = ready.get(u, 0.0)
+        lat = latency[(u, v)]
+        out.append((start, start + lat + size / r, r))
+        ready[v] = max(ready.get(v, 0.0), start + lat + slot / r)
+        rate_in[v] = min(rate_in.get(v, INFINITY), r)
+    return out
 
 
 def run_allreduce(g: WeightedGraph, packing: TreePacking, d, mode="streamed"):
@@ -244,15 +221,14 @@ def run_allreduce(g: WeightedGraph, packing: TreePacking, d, mode="streamed"):
     of the reduce arcs then carries over to the broadcast arcs.
 
     ``mode="streamed"`` pipelines coordinates (per-hop startup of one
-    coordinate slot); ``mode="store_and_forward"`` forwards only whole
+    coordinate slot); ``mode="store_forward"`` forwards only whole
     blocks, for comparison.
     """
-    if mode not in ("streamed", "store_and_forward"):
+    if mode not in ("streamed", "store_forward"):
         raise ValueError(f"unknown mode {mode!r}")
     if d <= 0:
         raise ValueError("vector size must be positive")
     mg = unit_multigraph(g)
-    und = g.undirected()
     for ti, tree in enumerate(packing.trees):
         for u, v, c in tree.edges:
             if not (0 <= c < mg.multiplicity.get((u, v), 0)):
@@ -265,92 +241,52 @@ def run_allreduce(g: WeightedGraph, packing: TreePacking, d, mode="streamed"):
         return _finish_trace([], {}), schedule
 
     block = math.ceil(d / p)
-    rate = mg.unit_rate
+    slot = 1.0 if mode == "streamed" else block
+    unit = dict.fromkeys(g.bandwidth, mg.unit_rate)
     schedule = SimSchedule(packing.pivot, block, tuple(range(p)),
                            ("reduce", "broadcast"))
     contributors = len(packing.terminals)
 
     events = []
     carried = {}  # directed physical edge -> coordinates
+
+    def flow(time, a, b, fid, detail):
+        carried[_edge_str(a, b)] = carried.get(_edge_str(a, b), 0.0) + block
+        events.append(TraceEvent(time, "flow_done", b, _edge_str(a, b), fid,
+                                 detail))
+
     reduce_done = 0.0
     cascades = []
     for ti, tree in enumerate(packing.trees):
-        oriented = orient_to_pivot(tree, packing.pivot)
-        cascades.append(oriented)
-        if mode == "streamed":
-            flows = _tree_cascade(oriented, und.latency, rate, block)
-        else:
-            flows = _store_forward(oriented, und.latency, rate, block)
-        for (a, b), inst, start, finish in flows:
-            fid = f"reduce/t{ti}/{inst[0]}-{inst[1]}#{inst[2]}"
-            carried[_edge_str(a, b)] = carried.get(_edge_str(a, b), 0.0) \
-                + block
-            if b == packing.pivot:
-                detail = (f"block={ti};size={block};"
-                          f"contrib={contributors};rate={rate:.17g};"
-                          f"start={start:.17g}")
-            else:
-                detail = f"block={ti};rate={rate:.17g};start={start:.17g}"
-            events.append(TraceEvent(finish, "flow_done", b,
-                                     _edge_str(a, b), fid, detail))
+        up = orient_to_pivot(tree, packing.pivot)[::-1]
+        cascades.append(up)
+        timing = _stream([(a, b) for a, b, _ in up], g.latency, unit, block,
+                         slot)
+        for (a, b, inst), (start, finish, rate) in zip(up, timing):
+            head = (f"size={block};contrib={contributors};"
+                    if b == packing.pivot else "")
+            flow(finish, a, b, f"reduce/t{ti}/{inst[0]}-{inst[1]}#{inst[2]}",
+                 f"block={ti};{head}rate={rate:.17g};start={start:.17g}")
             reduce_done = max(reduce_done, finish)
     events.append(TraceEvent(reduce_done, "phase_done", packing.pivot, "",
                              "", "phase=reduce"))
 
     completion = reduce_done
-    for ti, oriented in enumerate(cascades):
-        if mode == "streamed":
-            flows = _tree_cascade(oriented, und.latency, rate, block,
-                                  reverse=True)
-        else:
-            flows = _store_forward(oriented, und.latency, rate, block,
-                                   reverse=True)
-        for (a, b), inst, start, finish in flows:
-            fid = f"broadcast/t{ti}/{inst[0]}-{inst[1]}#{inst[2]}"
-            carried[_edge_str(a, b)] = carried.get(_edge_str(a, b), 0.0) \
-                + block
-            events.append(TraceEvent(
-                reduce_done + finish, "flow_done", b, _edge_str(a, b), fid,
-                f"block={ti};rate={rate:.17g};start={reduce_done + start:.17g}"))
+    for ti, up in enumerate(cascades):
+        down = [(b, a, inst) for a, b, inst in reversed(up)]
+        timing = _stream([(a, b) for a, b, _ in down], g.latency, unit,
+                         block, slot)
+        for (a, b, inst), (start, finish, rate) in zip(down, timing):
+            flow(reduce_done + finish, a, b,
+                 f"broadcast/t{ti}/{inst[0]}-{inst[1]}#{inst[2]}",
+                 f"block={ti};rate={rate:.17g};"
+                 f"start={reduce_done + start:.17g}")
             completion = max(completion, reduce_done + finish)
     events.append(TraceEvent(completion, "phase_done", packing.pivot, "",
                              "", "phase=broadcast"))
 
     util = _utilization(carried, g, completion)
     return _finish_trace(events, util), schedule
-
-
-def _store_forward(oriented, latency, rate, size, reverse=False):
-    children = {}
-    for child, parent, inst in oriented:
-        children.setdefault(parent, []).append((child, inst))
-    if not reverse:
-        def done_at(node):
-            best = 0.0
-            for child, _ in children.get(node, ()):
-                key = (min(child, node), max(child, node))
-                best = max(best, done_at(child) + latency[key] + size / rate)
-            return best
-
-        flows = []
-        for child, parent, inst in oriented:
-            key = (min(child, parent), max(child, parent))
-            start = done_at(child)
-            flows.append(((child, parent), inst, start,
-                          start + latency[key] + size / rate))
-        return flows
-    child_set = {c for cs in children.values() for c, _ in cs}
-    roots = [p for p in children if p not in child_set]
-    flows = []
-    order = [(r, 0.0) for r in roots]
-    while order:
-        node, base = order.pop()
-        for child, inst in children.get(node, ()):
-            key = (min(child, node), max(child, node))
-            finish = base + latency[key] + size / rate
-            flows.append(((node, child), inst, base, finish))
-            order.append((child, finish))
-    return flows
 
 
 def _utilization(carried, g, completion):
@@ -367,7 +303,10 @@ def _utilization(carried, g, completion):
 # == Naive aggregation round ==
 
 def _bfs_tree(g, pivot):
-    """Shortest-path tree by hop count; children visited in id order."""
+    """Shortest-path tree by hop count; children visited in id order.
+
+    Returns the parent map and the nodes in visiting order.
+    """
     parent = {pivot: None}
     order = [pivot]
     frontier = [pivot]
@@ -380,11 +319,7 @@ def _bfs_tree(g, pivot):
                     order.append(v)
                     nxt.append(v)
         frontier = nxt
-    children = {}
-    for v, par in parent.items():
-        if par is not None:
-            children.setdefault(par, []).append(v)
-    return parent, children, order
+    return parent, order
 
 
 def run_naive_sync_round(g: WeightedGraph, pivot, d):
@@ -399,7 +334,7 @@ def run_naive_sync_round(g: WeightedGraph, pivot, d):
     """
     if pivot not in g.nodes:
         raise ValueError(f"pivot {pivot} not in graph")
-    parent, children, order = _bfs_tree(g, pivot)
+    parent, order = _bfs_tree(g, pivot)
     if len(order) != len(g.nodes):
         raise ValueError("graph is disconnected")
     if len(g.nodes) == 1:
@@ -408,67 +343,29 @@ def run_naive_sync_round(g: WeightedGraph, pivot, d):
              TraceEvent(0.0, "phase_done", pivot, "", "",
                         "phase=broadcast")], {})
 
-    # effective aggregated-stream rate into each node
-    rate_in = {}
-
-    def rate_into(v):
-        if v in rate_in:
-            return rate_in[v]
-        rs = [min(g.bandwidth[(c, v)], rate_into(c))
-              for c in children.get(v, ())]
-        rate_in[v] = min(rs) if rs else INFINITY
-        return rate_in[v]
-
-    offset = {}
-
-    def offset_of(v):
-        if v in offset:
-            return offset[v]
-        best = 0.0
-        for c in children.get(v, ()):
-            r = min(g.bandwidth[(c, v)], rate_into(c))
-            best = max(best,
-                       offset_of(c) + g.latency[(c, v)] + 1.0 / r)
-        offset[v] = best
-        return best
-
+    up = [(v, parent[v]) for v in reversed(order[1:])]
     events = []
     carried = {}
-    reduce_done = 0.0
-    for v in order:
-        for c in children.get(v, ()):
-            r = min(g.bandwidth[(c, v)], rate_into(c))
-            start = offset_of(c)
-            finish = start + g.latency[(c, v)] + d / r
-            carried[_edge_str(c, v)] = carried.get(_edge_str(c, v), 0.0) + d
-            events.append(TraceEvent(
-                finish, "flow_done", v, _edge_str(c, v),
-                f"reduce/{c}-{v}",
-                f"rate={r:.17g};start={start:.17g}"))
-            if v == pivot:
-                reduce_done = max(reduce_done, finish)
-    reduce_done = max((e.time for e in events), default=0.0)
+    for (c, v), (start, finish, r) in zip(
+            up, _stream(up, g.latency, g.bandwidth, d, 1.0)):
+        carried[_edge_str(c, v)] = d
+        events.append(TraceEvent(
+            finish, "flow_done", v, _edge_str(c, v), f"reduce/{c}-{v}",
+            f"rate={r:.17g};start={start:.17g}"))
+    reduce_done = max(e.time for e in events)
     events.append(TraceEvent(reduce_done, "phase_done", pivot, "", "",
                              "phase=reduce"))
 
-    # broadcast: pivot streams down; each edge limited by everything above
     completion = reduce_done
-    down_rate = {}
-    down_off = {pivot: 0.0}
-    for v in order:
-        for c in children.get(v, ()):
-            above = down_rate.get(v, INFINITY)
-            r = min(g.bandwidth[(v, c)], above)
-            down_rate[c] = r
-            start = down_off[v]
-            down_off[c] = start + g.latency[(v, c)] + 1.0 / r
-            finish = reduce_done + start + g.latency[(v, c)] + d / r
-            carried[_edge_str(v, c)] = carried.get(_edge_str(v, c), 0.0) + d
-            events.append(TraceEvent(
-                finish, "flow_done", c, _edge_str(v, c),
-                f"broadcast/{v}-{c}",
-                f"rate={r:.17g};start={reduce_done + start:.17g}"))
-            completion = max(completion, finish)
+    down = [(v, c) for c, v in reversed(up)]
+    for (v, c), (start, finish, r) in zip(
+            down, _stream(down, g.latency, g.bandwidth, d, 1.0)):
+        carried[_edge_str(v, c)] = d
+        events.append(TraceEvent(
+            reduce_done + finish, "flow_done", c, _edge_str(v, c),
+            f"broadcast/{v}-{c}",
+            f"rate={r:.17g};start={reduce_done + start:.17g}"))
+        completion = max(completion, reduce_done + finish)
     events.append(TraceEvent(completion, "phase_done", pivot, "", "",
                              "phase=broadcast"))
     return _finish_trace(events, _utilization(carried, g, completion))

@@ -88,6 +88,20 @@ def test_plan_packs_trees_when_cooperation_wins(tmp_path):
     assert sched["predicted_seconds"] == pytest.approx(10.0)
 
 
+def test_plan_store_forward_pays_a_block_per_hop(tmp_path, capsys):
+    # ring:6 packs two 5-hop paths, each carrying a 500-coordinate block
+    predicted = {}
+    for comm in ("streamed", "store_forward"):
+        out = tmp_path / comm
+        assert main(["plan", "--gen", "ring:6", "--d", "1000", "--sigma2",
+                     "1000", "--comm", comm, "--out", str(out)]) == 0
+        assert f"({comm})" in capsys.readouterr().out
+        sched = json.loads((out / "schedule.json").read_text())
+        predicted[comm] = sched["predicted_seconds"]
+    assert predicted == {"streamed": 2 * (500 + 4),
+                         "store_forward": 2 * 5 * 500}
+
+
 def test_generated_and_file_topologies_agree(tmp_path):
     doc = serialize_topology(topologies.star(6, b=2.0))
     path = tmp_path / "star.json"
@@ -131,6 +145,17 @@ def test_experiment_grid_and_reruns_are_identical(tmp_path):
     assert summary[0] == ["method", "seed", "target_grad_sq", "time_s",
                           "reached"]
     assert len(summary) == 5
+
+
+def test_experiment_store_forward_reaches_the_simulator(tmp_path):
+    final = {}
+    for comm in ("streamed", "store_forward"):
+        out = tmp_path / comm
+        assert main(["experiment", "--gen", "ring:6", "--methods", "grace",
+                     "--comm", comm, "--max-iters", "2", "--d", "8",
+                     "--out", str(out)]) == 0
+        final[comm] = float(read_csv(out / "runs.csv")[-1][3])
+    assert final["store_forward"] > final["streamed"]
 
 
 def test_exit_code_for_bad_usage(tmp_path, capsys):

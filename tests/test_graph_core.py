@@ -8,6 +8,7 @@ from flowsgd import (INFINITY, build_graph, finite_bandwidth_proxy,
                      gomory_hu_tree, leaf_branch_peeling, max_flow_min_cut,
                      min_S_cut, parse_topology, serialize_topology,
                      unit_multigraph)
+from flowsgd import topologies
 
 import oracles
 from conftest import FIVE_NODE_SPEC, random_graph_spec, spec_edges
@@ -64,6 +65,11 @@ def test_min_cut_triangle():
                                {"a": 1, "b": 3, "bandwidth": 1}]})
     for s, t in ((1, 2), (2, 3), (1, 3)):
         assert max_flow_min_cut(g, s, t).value == 2.0
+
+
+def test_min_cut_on_a_1500_ring():
+    # the augmenting path around the ring is 1499 hops long
+    assert max_flow_min_cut(topologies.ring(1500), 1, 2).value == 2.0
 
 
 def test_min_cut_rejects_equal_endpoints(five_node):

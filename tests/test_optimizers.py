@@ -229,7 +229,7 @@ def test_store_and_forward_costs_more_on_a_path():
     oracle = StochasticOracle(obj, 0.0)
     fast = grace_sgd(g, obj, oracle, p, max_iters=2, subset=g.nodes)
     slow = grace_sgd(g, obj, oracle, p, max_iters=2, subset=g.nodes,
-                     mode="store_and_forward")
+                     mode="store_forward")
     assert slow.comm_seconds > fast.comm_seconds
     assert [r[2] for r in slow.rows] == [r[2] for r in fast.rows]
 

@@ -5,9 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowsgd import (INFINITY, ProblemParams, SimTimeoutError, TreePacking,
-                     audit_capacity, batch_collection_bound, build_graph,
-                     leon_stop_rule, pack_steiner_trees,
+from flowsgd import (INFINITY, ProblemParams, SimTimeoutError, SteinerTree,
+                     TreePacking, audit_capacity, batch_collection_bound,
+                     build_graph, leon_stop_rule, pack_steiner_trees,
                      run_allreduce, run_gradient_computation,
                      run_naive_sync_round, run_separate_transfers,
                      shared_edge_rates, unit_multigraph)
@@ -164,14 +164,69 @@ def test_store_and_forward_pays_per_hop():
     g = build_graph(json.loads(json.dumps(LINE_SPEC)))
     pk = packed(g)
     streamed, _ = run_allreduce(g, pk, 1000, mode="streamed")
-    stored, _ = run_allreduce(g, pk, 1000, mode="store_and_forward")
+    stored, _ = run_allreduce(g, pk, 1000, mode="store_forward")
     # whole-block forwarding multiplies the deep path, pipelining does not
     assert stored.completion_time >= 3 * streamed.completion_time
     hub = topologies.star(6)
     flat_s, _ = run_allreduce(hub, packed(hub), 1000, mode="streamed")
     flat_f, _ = run_allreduce(hub, packed(hub), 1000,
-                              mode="store_and_forward")
+                              mode="store_forward")
     assert flat_f.completion_time == pytest.approx(flat_s.completion_time)
+
+
+def one_tree(g, edges, pivot, alpha):
+    """A packing of one tree made of copy 0 of each of ``edges``."""
+    tree = SteinerTree(tuple((min(e), max(e), 0) for e in edges))
+    return TreePacking((tree,), g.nodes, pivot, alpha)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_allreduce_phases_match_uniform_tree_oracle(data):
+    n = data.draw(st.integers(min_value=2, max_value=30))
+    edges = [(v, data.draw(st.integers(min_value=1, max_value=v - 1)))
+             for v in range(2, n + 1)]
+    b = data.draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]))
+    lat = data.draw(st.sampled_from([0.0, 0.1, 0.37, 2.0]))
+    d = data.draw(st.integers(min_value=1, max_value=5000))
+    pivot = data.draw(st.integers(min_value=1, max_value=n))
+    g = build_graph({
+        "nodes": [{"id": v, "h": 1.0} for v in range(1, n + 1)],
+        "links": [{"a": u, "b": v, "bandwidth": b, "latency": lat}
+                  for u, v in edges]})
+    hops = {pivot: 0}
+    frontier = [pivot]
+    while frontier:
+        u = frontier.pop()
+        for v in g.neighbors(u):
+            if v not in hops:
+                hops[v] = hops[u] + 1
+                frontier.append(v)
+    depth = max(hops.values())
+    rate = unit_multigraph(g).unit_rate
+    pk = one_tree(g, edges, pivot, round(b / rate))
+
+    streamed, _ = run_allreduce(g, pk, d)
+    want = oracles.streamed_phase_time(d, depth, rate, lat)
+    assert phase_time(streamed, "reduce") == pytest.approx(want, rel=1e-12)
+    assert phase_time(streamed, "broadcast") == \
+        pytest.approx(2 * want, rel=1e-12)
+    stored, _ = run_allreduce(g, pk, d, mode="store_forward")
+    want = depth * (lat + d / rate)
+    assert phase_time(stored, "reduce") == pytest.approx(want, rel=1e-12)
+    assert phase_time(stored, "broadcast") == \
+        pytest.approx(2 * want, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["streamed", "store_forward"])
+def test_allreduce_down_a_1500_node_path(mode):
+    g = topologies.ring(1500)
+    pk = one_tree(g, [(v, v + 1) for v in range(1, 1500)], 1, 2)
+    trace, _ = run_allreduce(g, pk, 1000, mode=mode)
+    want = (oracles.streamed_phase_time(1000, 1499, 1.0)
+            if mode == "streamed" else 1499 * 1000.0)
+    assert phase_time(trace, "reduce") == want
+    assert phase_time(trace, "broadcast") == 2 * want
 
 
 def test_allreduce_counts_every_contributor_once():
@@ -214,6 +269,14 @@ def test_naive_round_star_hub():
     g = topologies.star(6, b=2.0)
     trace = run_naive_sync_round(g, 1, 1000)
     assert trace.completion_time == pytest.approx(2 * 1000 / 2.0, rel=0.10)
+
+
+def test_naive_round_on_a_1500_ring():
+    # the hop-shortest tree from node 1 has two branches, 750 hops deep
+    trace = run_naive_sync_round(topologies.ring(1500), 1, 1000)
+    want = oracles.streamed_phase_time(1000, 750, 1.0)
+    assert phase_time(trace, "reduce") == want
+    assert phase_time(trace, "broadcast") == 2 * want
 
 
 def test_naive_round_rejects_unknown_pivot(five_node):
