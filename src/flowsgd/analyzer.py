@@ -69,11 +69,6 @@ def iteration_count(params: ProblemParams, mode):
     return float(_ceil_snapped(4.0 * ld)) if mode == "constants" else ld
 
 
-def _workers(g, h=None):
-    h = g.h if h is None else h
-    return [i for i in g.nodes if math.isfinite(h[i])]
-
-
 def grace_complexity(g: WeightedGraph, params: ProblemParams,
                      mode="constants"):
     """Total seconds for the subset-planned pipelined method.
@@ -106,7 +101,7 @@ def leon_complexity(g: WeightedGraph, params: ProblemParams,
     the cut is the smallest weight in the Gomory-Hu tree.
     """
     if workers is None:
-        ws = _workers(g)
+        ws = sorted(g.workers())
         if len(g.nodes) == 1:
             w1 = INFINITY
         else:
@@ -145,7 +140,7 @@ def sync_sgd_complexity(g: WeightedGraph, params: ProblemParams,
 
     ``(d/b_min + h_max) × iterations × (1 + σ²/(nε))``.
     """
-    ws = _workers(g)
+    ws = sorted(g.workers())
     if not ws:
         raise ValueError("no computing node")
     n = len(ws)

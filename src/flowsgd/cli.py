@@ -250,7 +250,7 @@ def cmd_analyze(cfg):
 def cmd_plan(cfg):
     g, params = cfg.graph, cfg.params
     tree = gomory_hu_tree(g)
-    choice, trace = find_fastest_subset(g, params)
+    choice, trace = find_fastest_subset(g, params, tree)
 
     _write_json(os.path.join(cfg.out_dir, "gh_tree.json"), {
         "nodes": list(tree.nodes),
@@ -280,8 +280,11 @@ def cmd_plan(cfg):
         print("packing: single worker, nothing to pack")
         return 0
 
+    # the packing runs on the proxy: it shares g's tree unless it differs
     proxy = finite_bandwidth_proxy(g)
-    packing = pack_steiner_trees(unit_multigraph(proxy), choice.subset)
+    packing = pack_steiner_trees(
+        unit_multigraph(proxy), choice.subset,
+        tree if proxy is g else gomory_hu_tree(proxy))
     _write_json(os.path.join(cfg.out_dir, "packing.json"), packing.to_dict())
     sim, schedule = run_allreduce(proxy, packing, int(params.d),
                                   mode=cfg.comm_mode)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 
 INFINITY = math.inf
@@ -61,8 +62,16 @@ class WeightedGraph:
         """Nodes that can compute gradients (finite ``h``)."""
         return tuple(v for v in self.nodes if math.isfinite(self.h[v]))
 
+    @cached_property
+    def _adjacency(self):
+        adj = {v: [] for v in self.nodes}
+        for i, j in self.bandwidth:
+            adj[i].append(j)
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
     def neighbors(self, v):
-        return tuple(sorted(j for (i, j) in self.bandwidth if i == v))
+        """Linked nodes in ascending id order (built once per graph)."""
+        return self._adjacency[v]
 
     def undirected(self):
         """Collapse the directed pairs into one weighted edge per link."""
@@ -159,19 +168,18 @@ def build_graph(spec):
             bandwidth[(i, j)] = bw
             latency[(i, j)] = lat
 
-    if len(nodes) > 1:
-        reach = {nodes[0]}
-        frontier = [nodes[0]]
-        while frontier:
-            u = frontier.pop()
-            for (i, j) in bandwidth:
-                if i == u and j not in reach:
-                    reach.add(j)
-                    frontier.append(j)
-        if len(reach) != len(nodes):
-            missing = sorted(set(nodes) - reach)
-            raise ValueError(f"graph is disconnected: no path to {missing}")
-    return WeightedGraph(nodes, h, bandwidth, latency)
+    g = WeightedGraph(nodes, h, bandwidth, latency)
+    reach = {nodes[0]}
+    frontier = [nodes[0]]
+    while frontier:
+        for j in g.neighbors(frontier.pop()):
+            if j not in reach:
+                reach.add(j)
+                frontier.append(j)
+    if len(reach) != len(nodes):
+        missing = sorted(set(nodes) - reach)
+        raise ValueError(f"graph is disconnected: no path to {missing}")
+    return g
 
 
 def parse_topology(text):

@@ -234,10 +234,6 @@ class TrainingTrace:
         return buf.getvalue().encode()
 
 
-def _finite_workers(g):
-    return [i for i in g.nodes if math.isfinite(g.h[i])]
-
-
 def _all_infinite_bandwidth(g):
     return all(b == INFINITY for b in g.bandwidth.values())
 
@@ -335,7 +331,7 @@ def leon_sgd(g: WeightedGraph, objectives, oracle: StochasticOracle,
     ``mode`` is the AllReduce block handling, ``"streamed"`` or
     ``"store_forward"``, as in :func:`grace_sgd`.
     """
-    workers = sorted(_finite_workers(g))
+    workers = sorted(g.workers())
     n = len(workers)
     components = tuple(objectives) if not isinstance(objectives, Objective) \
         else (objectives,)
@@ -383,7 +379,7 @@ def sync_sgd(g: WeightedGraph, objective: Objective,
     hop-shortest aggregation tree to the lowest-id worker and back.
     """
     gamma = 1.0 / (2.0 * objective.L) if gamma is None else gamma
-    workers = sorted(_finite_workers(g))
+    workers = sorted(g.workers())
     if not workers:
         raise ValueError("no computing node")
     counts, elapsed = run_gradient_computation(

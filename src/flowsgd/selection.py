@@ -183,22 +183,27 @@ def _components(nodes, edges):
                   key=lambda c: c[0])
 
 
-def find_fastest_subset(g: WeightedGraph, params: ProblemParams):
+def find_fastest_subset(g: WeightedGraph, params: ProblemParams, tree=None):
     """Walk the Gomory-Hu tree and return the best-scoring worker subset.
 
-    Implements the tree-peeling loop directly: build the tree, sort its
-    edges ascending, and for k = 1..n score every connected component of
-    the forest left after deleting the k-1 lightest edges, using the
-    k-th sorted weight (infinity at k = n) as the communication
-    bottleneck.  After scoring, the step's edge is removed — ties among
-    equal weights go to the lexicographically smallest endpoint pair, and
-    ties among equal component scores prefer the larger subset, then the
-    smallest minimum node id.
+    ``tree`` is a Gomory-Hu tree of ``g`` the caller already holds (one
+    cut tree per plan); without it the tree is built here.  Implements
+    the tree-peeling loop directly: sort the tree's edges ascending, and
+    for k = 1..n score every connected component of the forest left
+    after deleting the k-1 lightest edges, using the k-th sorted weight
+    (infinity at k = n) as the communication bottleneck.  After scoring,
+    the step's edge is removed — ties among equal weights go to the
+    lexicographically smallest endpoint pair, and ties among equal
+    component scores prefer the larger subset, then the smallest minimum
+    node id.
 
     Returns ``(SubsetChoice, SelectionTrace)``; the trace records every
     step (weight, components, best score, removed edge).
     """
-    tree = gomory_hu_tree(g)
+    if tree is None:
+        tree = gomory_hu_tree(g)
+    elif set(tree.nodes) != set(g.nodes):
+        raise ValueError("cut tree and graph have different nodes")
     nodes = tree.nodes
     n = len(nodes)
     order = tree.sorted_edges()

@@ -17,9 +17,9 @@ than per-coordinate packets.  Three kinds of activity are modeled:
   max-min fairly, recomputed at every event boundary
   (:func:`run_separate_transfers`, :func:`shared_edge_rates`).
 
-All runs are bit-deterministic: events are ordered by (time, sequence
-number) with a 1e-12 comparison tolerance, and equal-time completions
-are processed in node-id order.
+All runs are bit-deterministic: equal-time gradient completions are
+processed in node-id order, and transfers whose remaining size falls
+within a 1e-12 relative tolerance finish together.
 """
 
 from __future__ import annotations
@@ -49,29 +49,6 @@ class TraceEvent(NamedTuple):
     edge: str  # "u->v" or ""
     flow_id: str
     detail: str
-
-
-class SimClock:
-    """Priority queue of (time, seq, payload) with monotone pops."""
-
-    def __init__(self):
-        self.time = 0.0
-        self._seq = 0
-        self._heap = []
-
-    def push(self, time, payload):
-        if time < self.time - TIME_TOL:
-            raise ValueError(f"event at {time} precedes clock {self.time}")
-        heapq.heappush(self._heap, (time, self._seq, payload))
-        self._seq += 1
-
-    def pop(self):
-        time, _, payload = heapq.heappop(self._heap)
-        self.time = max(self.time, time)
-        return time, payload
-
-    def __bool__(self):
-        return bool(self._heap)
 
 
 @dataclass(frozen=True)
@@ -155,15 +132,14 @@ def run_gradient_computation(workers, h, stop, max_seconds=1e9,
     counts = {w: 0 for w in workers}
     if stop(dict(counts)):
         return counts, 0.0
-    clock = SimClock()
-    for w in workers:
-        if math.isfinite(h[w]):
-            clock.push(h[w], w)
-    if not clock:
+    # (finish time, node id): simultaneous finishes pop in id order
+    heap = [(h[w], w) for w in workers if math.isfinite(h[w])]
+    if not heap:
         raise ValueError("no worker can compute")
+    heapq.heapify(heap)
     done = 0
-    while clock:
-        t, w = clock.pop()
+    while True:
+        t, w = heapq.heappop(heap)
         if t > max_seconds:
             raise SimTimeoutError(
                 f"stop predicate unsatisfied after {max_seconds} simulated "
@@ -178,8 +154,7 @@ def run_gradient_computation(workers, h, stop, max_seconds=1e9,
         if done >= max_events:
             raise SimTimeoutError(
                 f"stop predicate unsatisfied after {max_events} events")
-        clock.push(t + h[w], w)
-    raise AssertionError("unreachable")
+        heapq.heappush(heap, (t + h[w], w))
 
 
 # == Tree streaming ==

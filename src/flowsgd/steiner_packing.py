@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph_core import (UnitMultigraph, WeightedGraph, min_S_cut)
+from .graph_core import UndirectedView, UnitMultigraph, min_S_cut
 
 INFINITY = math.inf
 
@@ -98,25 +98,15 @@ def min_S_cut_multigraph(mg: UnitMultigraph, S):
     """Minimum S-separating cut counted in unit-edge instances.
 
     Equals ``scale`` times the bandwidth min S-cut, because multiplicities
-    are exactly the scaled bandwidths.
+    are exactly the scaled bandwidths; :func:`pack_steiner_trees` reads
+    it so from a shared cut tree.  Here the multigraph gets a tree of its
+    own, which keeps :func:`verify_packing`'s check independent.
     """
     S = tuple(S)
     if len(S) < 2:
         raise ValueError("S-cut needs at least two terminals")
-    g = _as_weighted(mg)
-    value = min_S_cut(g, S)
-    return int(round(value))
-
-
-def _as_weighted(mg: UnitMultigraph):
-    bandwidth = {}
-    latency = {}
-    for (u, v), m in mg.multiplicity.items():
-        for key in ((u, v), (v, u)):
-            bandwidth[key] = float(m)
-            latency[key] = 0.0
-    h = {v: 1.0 for v in mg.nodes}
-    return WeightedGraph(mg.nodes, h, bandwidth, latency)
+    weight = {key: float(m) for key, m in mg.multiplicity.items()}
+    return int(round(min_S_cut(UndirectedView(mg.nodes, weight, {}), S)))
 
 
 # == Verification ==
@@ -497,20 +487,20 @@ def _greedy_trees(mg, S, pivot):
     return trees
 
 
-def pack_steiner_trees(mg: UnitMultigraph, S, strategy="auto"):
+def pack_steiner_trees(mg: UnitMultigraph, S, tree=None):
     """Pack edge-disjoint trees each connecting the terminal set S.
 
-    ``strategy``: ``"greedy"`` forces the generic extractor;
-    ``"specialized"`` requires a recognized topology (star, ring,
-    canonical row-major 2-torus, complete) and raises otherwise;
-    ``"auto"`` tries specialized first and falls back to greedy.  A
-    single-terminal set yields the trivial zero-tree packing (nothing to
-    communicate).  The pivot is the lowest-id terminal, except on the
-    recognized 2-torus where the center node is the pivot (that is what
-    the directional construction routes to) when it belongs to S.
+    Stars, rings, canonical row-major 2-tori and complete graphs get
+    their specialized construction, anything else the greedy extractor.
+    A single terminal yields the zero-tree packing (nothing to send).
+    The pivot is the lowest-id terminal, except the center of a
+    recognized 2-torus when it belongs to S (the directional
+    construction routes to it).
+
+    ``alpha`` is ``round(mg.scale * min_S_cut(None, S, tree))`` for
+    ``tree`` a Gomory-Hu tree of the bandwidth graph ``mg`` came from;
+    without ``tree`` it is :func:`min_S_cut_multigraph`, the same number.
     """
-    if strategy not in ("auto", "greedy", "specialized"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     S = tuple(sorted(set(S)))
     if not S:
         raise ValueError("empty terminal set")
@@ -520,30 +510,31 @@ def pack_steiner_trees(mg: UnitMultigraph, S, strategy="auto"):
     if len(S) == 1:
         return TreePacking((), S, S[0], INFINITY)
 
-    alpha = min_S_cut_multigraph(mg, S)
+    if tree is None:
+        alpha = min_S_cut_multigraph(mg, S)
+    elif tree.nodes != mg.nodes:
+        raise ValueError("cut tree and multigraph have different nodes")
+    else:
+        alpha = int(round(mg.scale * min_S_cut(None, S, tree)))
     pivot = S[0]
 
-    if strategy in ("auto", "specialized"):
-        hub = _detect_star(mg)
-        if hub is not None:
-            return TreePacking(tuple(_pack_star(mg, S, hub, pivot)), S,
-                               pivot, alpha)
-        order = _detect_ring(mg)
-        if order is not None:
-            return TreePacking(tuple(_pack_ring(mg, order, pivot)), S,
-                               pivot, alpha)
-        torus = _detect_torus2d(mg)
-        if torus is not None:
-            side, copies = torus
-            center = 1 + (side // 2) + (side // 2) * side
-            if center in S:
-                trees = _pack_torus2d(mg, side, copies, center)
-                return TreePacking(tuple(trees), S, center, alpha)
-        copies = _detect_complete(mg)
-        if copies is not None:
-            return TreePacking(tuple(_pack_complete(mg, copies, pivot)), S,
-                               pivot, alpha)
-        if strategy == "specialized":
-            raise ValueError("topology not recognized for specialized "
-                             "packing; use greedy")
+    hub = _detect_star(mg)
+    if hub is not None:
+        return TreePacking(tuple(_pack_star(mg, S, hub, pivot)), S,
+                           pivot, alpha)
+    order = _detect_ring(mg)
+    if order is not None:
+        return TreePacking(tuple(_pack_ring(mg, order, pivot)), S,
+                           pivot, alpha)
+    torus = _detect_torus2d(mg)
+    if torus is not None:
+        side, copies = torus
+        center = 1 + (side // 2) + (side // 2) * side
+        if center in S:
+            trees = _pack_torus2d(mg, side, copies, center)
+            return TreePacking(tuple(trees), S, center, alpha)
+    copies = _detect_complete(mg)
+    if copies is not None:
+        return TreePacking(tuple(_pack_complete(mg, copies, pivot)), S,
+                           pivot, alpha)
     return TreePacking(tuple(_greedy_trees(mg, S, pivot)), S, pivot, alpha)

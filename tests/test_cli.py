@@ -4,7 +4,10 @@ import os
 
 import pytest
 
-from flowsgd import serialize_topology, topologies
+import flowsgd.graph_core
+from flowsgd import (TreePacking, SteinerTree, finite_bandwidth_proxy,
+                     min_S_cut_multigraph, serialize_topology, topologies,
+                     unit_multigraph, verify_packing)
 from flowsgd.cli import main
 
 from conftest import FIVE_NODE_SPEC
@@ -100,6 +103,47 @@ def test_plan_store_forward_pays_a_block_per_hop(tmp_path, capsys):
         predicted[comm] = sched["predicted_seconds"]
     assert predicted == {"streamed": 2 * (500 + 4),
                          "store_forward": 2 * 5 * 500}
+
+
+def test_plan_builds_one_cut_tree(tmp_path, monkeypatch):
+    # selection and the packing alpha read the tree gh_tree.json records
+    calls = []
+    flow = flowsgd.graph_core.max_flow_min_cut
+
+    def counted(*args):
+        calls.append(args[1:])
+        return flow(*args)
+
+    monkeypatch.setattr(flowsgd.graph_core, "max_flow_min_cut", counted)
+    assert main(["plan", "--gen", "torus:5x5", "--d", "1000", "--sigma2",
+                 "1000", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 24  # n - 1 max-flows: one Gomory-Hu tree
+    packing = json.loads((tmp_path / "packing.json").read_text())
+    assert packing["p"] == 4 and packing["alpha"] == 4
+
+
+def test_plan_with_infinite_links_packs_the_proxy(tmp_path):
+    # clusters joined by infinite fast links: the packing runs on the
+    # finite proxy, whose alpha the independent multigraph cut confirms
+    out = tmp_path / "inf"
+    assert main(["plan", "--gen", "clusters:40x4:b_slow=0.1", "--d", "1000",
+                 "--sigma2", "1000", "--out", str(out)]) == 0
+    g = topologies.k_clusters(40, 4, b_slow=0.1)
+    proxy = finite_bandwidth_proxy(g)
+    assert proxy is not g
+    subset = json.loads((out / "selection.json").read_text())["chosen"][
+        "subset"]
+    doc = json.loads((out / "packing.json").read_text())
+    mg = unit_multigraph(proxy)
+    assert mg.scale > 1
+    assert doc["alpha"] == min_S_cut_multigraph(mg, subset) == 144
+    packing = TreePacking(
+        tuple(SteinerTree(tuple(tuple(e) for e in t["edges"]))
+              for t in doc["trees"]),
+        tuple(doc["terminals"]), doc["pivot"], doc["alpha"])
+    report = verify_packing(packing, mg, subset)
+    assert report.valid, report.problems[:3]
+    assert report.p == doc["p"] == 64
 
 
 def test_generated_and_file_topologies_agree(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowsgd import (INFINITY, ProblemParams, batch_collection_bound,
-                     build_graph, find_fastest_subset, grace_target_batch,
+                     build_graph, find_fastest_subset, gomory_hu_tree,
+                     grace_target_batch,
                      harmonic_batch_term, leon_stop_rule, subset_score)
 from flowsgd import topologies
 
@@ -135,10 +136,18 @@ def test_selection_matches_exhaustive_oracle(seed):
     d = rng.choice([0.0, 1.0, 10.0, 200.0])
     ratio = rng.choice([0.0, 0.5, 4.0, 50.0])
     p = params(d=d, sigma2=ratio, epsilon=1.0)
-    choice, _ = find_fastest_subset(g, p)
+    choice, trace = find_fastest_subset(g, p)
     ref = oracles.exhaustive_best_score(
         g.nodes, spec_edges(spec), dict(g.h), d, ratio)
     assert math.isclose(choice.score, ref, rel_tol=1e-12)
+    # a cut tree the caller already holds gives the same search
+    assert find_fastest_subset(g, p, gomory_hu_tree(g)) == (choice, trace)
+
+
+def test_shared_tree_must_cover_the_graph(five_node):
+    with pytest.raises(ValueError, match="different nodes"):
+        find_fastest_subset(five_node, params(),
+                            gomory_hu_tree(topologies.ring(4)))
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))

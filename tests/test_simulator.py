@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowsgd import (INFINITY, ProblemParams, SimTimeoutError, SteinerTree,
                      TreePacking, audit_capacity, batch_collection_bound,
@@ -85,6 +85,7 @@ def test_gradient_event_recording():
                 max_size=5),
        st.integers(min_value=1, max_value=30))
 @settings(max_examples=60)
+@example([0.25, 0.5], 8)  # both finish at 1.5: worker 1 goes first
 def test_gradient_sum_target_matches_oracle_and_bound(h_values, B):
     workers = tuple(range(1, len(h_values) + 1))
     h = dict(zip(workers, h_values))

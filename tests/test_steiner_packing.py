@@ -5,18 +5,21 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowsgd import (build_graph, min_S_cut, min_S_cut_multigraph,
-                     pack_steiner_trees, unit_multigraph, verify_packing)
-from flowsgd.steiner_packing import SteinerTree
+from flowsgd import (build_graph, gomory_hu_tree, min_S_cut,
+                     min_S_cut_multigraph, pack_steiner_trees,
+                     unit_multigraph, verify_packing)
+from flowsgd.steiner_packing import (SteinerTree, _detect_complete,
+                                     _detect_ring, _detect_star,
+                                     _detect_torus2d)
 
 import oracles
 from conftest import SWITCH_SPEC, random_graph_spec, spec_edges
 from flowsgd import topologies
 
 
-def _pack(g, S, strategy="auto"):
+def _pack(g, S):
     mg = unit_multigraph(g)
-    return pack_steiner_trees(mg, tuple(sorted(S)), strategy=strategy), mg
+    return pack_steiner_trees(mg, tuple(sorted(S))), mg
 
 
 def test_switch_graph_packs_three_trees(switch_graph):
@@ -107,7 +110,11 @@ def test_complete_graph_spanning_regime():
 
 
 def test_greedy_strategy_agrees_with_verifier(five_node):
-    packing, mg = _pack(five_node, five_node.nodes, strategy="greedy")
+    # five_node is no star, ring, torus or clique: the greedy extractor
+    mg = unit_multigraph(five_node)
+    assert _detect_star(mg) is None and _detect_ring(mg) is None
+    assert _detect_torus2d(mg) is None and _detect_complete(mg) is None
+    packing, mg = _pack(five_node, five_node.nodes)
     report = verify_packing(packing, mg, five_node.nodes)
     assert report.valid, report.problems
     assert packing.p >= 1
@@ -131,3 +138,27 @@ def test_random_packings_verify_and_respect_the_cut(seed, data):
     # and the multigraph cut really is the scaled bandwidth cut
     ref = oracles.brute_force_min_s_cut(g.nodes, spec_edges(spec), S)
     assert math.isclose(alpha, mg.scale * ref, rel_tol=1e-9)
+    # a shared cut tree of g gives the same packing and alpha
+    assert pack_steiner_trees(mg, S, gomory_hu_tree(g)) == packing
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=40)
+def test_shared_tree_alpha_rounds_fractional_bandwidths(seed):
+    spec = random_graph_spec(random.Random(seed), n_max=7, w_max=4)
+    for link in spec["links"]:
+        link["bandwidth"] /= 10  # tenths: the multigraph scale is 5 or 10
+    g = build_graph(spec)
+    mg = unit_multigraph(g)
+    assert mg.scale > 1
+    S = g.nodes
+    packing = pack_steiner_trees(mg, S, gomory_hu_tree(g))
+    assert packing == pack_steiner_trees(mg, S)
+    assert packing.alpha == min_S_cut_multigraph(mg, S)
+    assert isinstance(packing.alpha, int)
+
+
+def test_shared_tree_must_cover_the_multigraph(five_node, switch_graph):
+    with pytest.raises(ValueError, match="different nodes"):
+        pack_steiner_trees(unit_multigraph(five_node), (1, 2),
+                           gomory_hu_tree(switch_graph))
