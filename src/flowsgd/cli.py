@@ -68,6 +68,9 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise UsageError(f"unknown methods: {bad}; pick from {METHODS}")
+        if not self.max_sim_seconds > 0:
+            raise UsageError("--max-sim-seconds must be positive, got "
+                             f"{self.max_sim_seconds:g}")
 
 
 def _num(text):
@@ -138,6 +141,7 @@ def _load_graph(args):
 def _config(args, methods, seeds):
     out = args.out or os.environ.get(OUT_ENV) or "."
     os.makedirs(out, exist_ok=True)
+    cap = getattr(args, "max_sim_seconds", None)
     return ExperimentConfig(
         graph=_load_graph(args),
         params=ProblemParams(d=args.d, sigma2=args.sigma2,
@@ -151,7 +155,7 @@ def _config(args, methods, seeds):
         comm_mode=getattr(args, "comm", "streamed"),
         max_iters=getattr(args, "max_iters", 200),
         target_grad_sq=getattr(args, "target_grad_sq", None),
-        max_sim_seconds=getattr(args, "max_sim_seconds", None) or INFINITY,
+        max_sim_seconds=INFINITY if cap is None else cap,
     )
 
 
@@ -250,7 +254,7 @@ def cmd_analyze(cfg):
 def cmd_plan(cfg):
     g, params = cfg.graph, cfg.params
     tree = gomory_hu_tree(g)
-    choice, trace = find_fastest_subset(g, params, tree)
+    choice, trace = find_fastest_subset(g, params)
 
     _write_json(os.path.join(cfg.out_dir, "gh_tree.json"), {
         "nodes": list(tree.nodes),
@@ -280,11 +284,10 @@ def cmd_plan(cfg):
         print("packing: single worker, nothing to pack")
         return 0
 
-    # the packing runs on the proxy: it shares g's tree unless it differs
+    # the packing runs on the proxy, which is g unless g has infinite links
     proxy = finite_bandwidth_proxy(g)
-    packing = pack_steiner_trees(
-        unit_multigraph(proxy), choice.subset,
-        tree if proxy is g else gomory_hu_tree(proxy))
+    packing = pack_steiner_trees(unit_multigraph(proxy), choice.subset,
+                                 gomory_hu_tree(proxy))
     _write_json(os.path.join(cfg.out_dir, "packing.json"), packing.to_dict())
     sim, schedule = run_allreduce(proxy, packing, int(params.d),
                                   mode=cfg.comm_mode)

@@ -8,7 +8,7 @@ built on:
 
 ==================  =========================================================
 ``max_flow_min_cut``  exact min s-t cut on the undirected bandwidth view
-``gomory_hu_tree``    all-pairs min cuts compressed into n-1 tree edges
+``gomory_hu_tree``    all-pairs min cuts in n-1 tree edges, cached per graph
 ``min_S_cut``         smallest cut separating at least two nodes of a set
 ``unit_multigraph``   integral rescaling into unit-capacity parallel edges
 ``leaf_branch_peeling``  logarithmic-depth decomposition of a tree
@@ -16,7 +16,8 @@ built on:
 
 Bandwidths are coordinates per second, computation times are seconds per
 gradient, and latencies are seconds per hop.  All structures are plain
-frozen dataclasses; treat their dict fields as read-only.
+frozen dataclasses; treat their dict fields as read-only: a graph
+caches its adjacency and its cut tree.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ class WeightedGraph:
     def neighbors(self, v):
         """Linked nodes in ascending id order (built once per graph)."""
         return self._adjacency[v]
+
+    @cached_property
+    def _cut_tree(self):
+        return _build_gomory_hu_tree(self.undirected())
 
     def undirected(self):
         """Collapse the directed pairs into one weighted edge per link."""
@@ -391,12 +396,19 @@ class GomoryHuTree:
 
 
 def gomory_hu_tree(g):
-    """Build a Gomory-Hu tree with n-1 max-flow calls (no contraction).
+    """Gomory-Hu tree of ``g``, built with n-1 max-flow calls.
 
+    A :class:`WeightedGraph` builds it once and returns the same tree
+    afterwards; an :class:`UndirectedView` gets a fresh one per call.
     Nodes are processed in ascending id order with the lowest id as the
-    initial hub, which makes the resulting tree deterministic.
+    initial hub, which makes the tree deterministic.
     """
-    und = g.undirected() if isinstance(g, WeightedGraph) else g
+    if isinstance(g, WeightedGraph):
+        return g._cut_tree
+    return _build_gomory_hu_tree(g)
+
+
+def _build_gomory_hu_tree(und):
     nodes = sorted(und.nodes)
     if len(nodes) == 1:
         return GomoryHuTree(tuple(nodes), ())

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import (WeightedGraph, finite_bandwidth_proxy,
-                         unit_multigraph)
+                         gomory_hu_tree, unit_multigraph)
 from .selection import (ProblemParams, find_fastest_subset,
                         grace_target_batch, leon_stop_rule)
 from .simulator import (run_allreduce, run_gradient_computation,
@@ -246,7 +246,7 @@ def _allreduce_seconds(g, terminals, d, mode):
         return 0.0
     g = finite_bandwidth_proxy(g)
     mg = unit_multigraph(g)
-    packing = pack_steiner_trees(mg, tuple(terminals))
+    packing = pack_steiner_trees(mg, tuple(terminals), gomory_hu_tree(g))
     trace, _ = run_allreduce(g, packing, d, mode=mode)
     return trace.completion_time
 
@@ -255,7 +255,7 @@ def _loop(objective_stats, steps, max_iters, target_grad_sq):
     """Shared iteration driver: steps() advances x and returns the cost.
 
     ``objective_stats`` maps x to (f, ‖∇f‖²); rows follow the trace
-    schema.  Returns the finished TrainingTrace.
+    schema.  Returns ``(rows, status, comm_total)``.
     """
     f0, g0 = objective_stats()
     rows = [(0, 0.0, g0, f0, 0)]
@@ -274,6 +274,37 @@ def _loop(objective_stats, steps, max_iters, target_grad_sq):
     return rows, status, comm_total
 
 
+def _minibatch_sgd(method, objective, oracle, batch, elapsed, comm,
+                   max_iters, gamma, target_grad_sq):
+    """Shared grace/sync/hero run: one objective, a fixed batch per worker.
+
+    ``batch`` maps each worker to its gradients per iteration; every
+    iteration sums them (workers in id order, zero counts skipped) and
+    steps with γ/ΣB, γ defaulting to 1/(2L).  ``elapsed`` and ``comm``
+    are the per-iteration compute and communication seconds.
+    """
+    gamma = 1.0 / (2.0 * objective.L) if gamma is None else gamma
+    workers = sorted(w for w in batch if batch[w])
+    total_batch = sum(batch.values())
+    x = objective.x0.copy()
+
+    def stats():
+        gr = objective.grad(x)
+        return objective.f(x), float(np.dot(gr, gr))
+
+    def step(k):
+        nonlocal x
+        total = np.zeros(objective.d)
+        for w in workers:
+            total += oracle.gradient_sum(x, w, k, batch[w])
+        x = x - (gamma / total_batch) * total
+        return elapsed, comm, total_batch
+
+    rows, status, comm_total = _loop(stats, step, max_iters,
+                                     target_grad_sq)
+    return TrainingTrace(method, tuple(rows), status, comm_total)
+
+
 def grace_sgd(g: WeightedGraph, objective: Objective,
               oracle: StochasticOracle, params: ProblemParams,
               max_iters, gamma=None, mode="streamed", subset=None,
@@ -287,7 +318,6 @@ def grace_sgd(g: WeightedGraph, objective: Objective,
     ``mode`` is the AllReduce block handling, ``"streamed"`` or
     ``"store_forward"`` (see :func:`flowsgd.simulator.run_allreduce`).
     """
-    gamma = 1.0 / (2.0 * objective.L) if gamma is None else gamma
     if subset is None:
         choice, _ = find_fastest_subset(g, params)
         subset = choice.subset
@@ -298,26 +328,8 @@ def grace_sgd(g: WeightedGraph, objective: Objective,
     counts, elapsed = run_gradient_computation(
         workers, g.h, lambda c: sum(c.values()) >= target)
     comm = _allreduce_seconds(g, workers, objective.d, mode)
-    total_batch = sum(counts.values())
-
-    x = objective.x0.copy()
-
-    def stats():
-        gr = objective.grad(x)
-        return objective.f(x), float(np.dot(gr, gr))
-
-    def step(k):
-        nonlocal x
-        total = np.zeros(objective.d)
-        for w in workers:
-            if counts[w]:
-                total += oracle.gradient_sum(x, w, k, counts[w])
-        x = x - (gamma / total_batch) * total
-        return elapsed, comm, total_batch
-
-    rows, status, comm_total = _loop(stats, step, max_iters,
-                                     target_grad_sq)
-    return TrainingTrace("grace", tuple(rows), status, comm_total)
+    return _minibatch_sgd("grace", objective, oracle, counts, elapsed, comm,
+                          max_iters, gamma, target_grad_sq)
 
 
 def leon_sgd(g: WeightedGraph, objectives, oracle: StochasticOracle,
@@ -378,43 +390,25 @@ def sync_sgd(g: WeightedGraph, objective: Objective,
     costs h_max·batch_size of compute), then the sum crosses a
     hop-shortest aggregation tree to the lowest-id worker and back.
     """
-    gamma = 1.0 / (2.0 * objective.L) if gamma is None else gamma
     workers = sorted(g.workers())
     if not workers:
         raise ValueError("no computing node")
-    counts, elapsed = run_gradient_computation(
+    _, elapsed = run_gradient_computation(
         workers, g.h, lambda c: all(c[w] >= batch_size for w in workers))
     if len(g.nodes) > 1 and not _all_infinite_bandwidth(g):
         comm = run_naive_sync_round(g, workers[0],
                                     objective.d).completion_time
     else:
         comm = 0.0
-    total_batch = len(workers) * batch_size
-
-    x = objective.x0.copy()
-
-    def stats():
-        gr = objective.grad(x)
-        return objective.f(x), float(np.dot(gr, gr))
-
-    def step(k):
-        nonlocal x
-        total = np.zeros(objective.d)
-        for w in workers:
-            total += oracle.gradient_sum(x, w, k, batch_size)
-        x = x - (gamma / total_batch) * total
-        return elapsed, comm, total_batch
-
-    rows, status, comm_total = _loop(stats, step, max_iters,
-                                     target_grad_sq)
-    return TrainingTrace("sync", tuple(rows), status, comm_total)
+    return _minibatch_sgd("sync", objective, oracle,
+                          dict.fromkeys(workers, batch_size), elapsed, comm,
+                          max_iters, gamma, target_grad_sq)
 
 
 def hero_sgd(objective: Objective, oracle: StochasticOracle,
              params: ProblemParams, max_iters, h, gamma=None,
              target_grad_sq=None):
     """Single-machine fallback: the fastest worker does everything."""
-    gamma = 1.0 / (2.0 * objective.L) if gamma is None else gamma
     finite = {w: v for w, v in h.items() if math.isfinite(v)}
     if not finite:
         raise ValueError("no computing node")
@@ -423,20 +417,5 @@ def hero_sgd(objective: Objective, oracle: StochasticOracle,
     counts, elapsed = run_gradient_computation(
         [worker], {worker: finite[worker]},
         lambda c: c[worker] >= target)
-    batch = counts[worker]
-
-    x = objective.x0.copy()
-
-    def stats():
-        gr = objective.grad(x)
-        return objective.f(x), float(np.dot(gr, gr))
-
-    def step(k):
-        nonlocal x
-        total = oracle.gradient_sum(x, worker, k, batch)
-        x = x - (gamma / batch) * total
-        return elapsed, 0.0, batch
-
-    rows, status, _ = _loop(stats, step, max_iters,
-                            target_grad_sq)
-    return TrainingTrace("hero", tuple(rows), status, 0.0)
+    return _minibatch_sgd("hero", objective, oracle, counts, elapsed, 0.0,
+                          max_iters, gamma, target_grad_sq)

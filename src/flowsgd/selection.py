@@ -183,15 +183,15 @@ def _components(nodes, edges):
                   key=lambda c: c[0])
 
 
-def find_fastest_subset(g: WeightedGraph, params: ProblemParams, tree=None):
+def find_fastest_subset(g: WeightedGraph, params: ProblemParams):
     """Walk the Gomory-Hu tree and return the best-scoring worker subset.
 
-    ``tree`` is a Gomory-Hu tree of ``g`` the caller already holds (one
-    cut tree per plan); without it the tree is built here.  Implements
-    the tree-peeling loop directly: sort the tree's edges ascending, and
-    for k = 1..n score every connected component of the forest left
-    after deleting the k-1 lightest edges, using the k-th sorted weight
-    (infinity at k = n) as the communication bottleneck.  After scoring,
+    Implements the tree-peeling loop directly on ``gomory_hu_tree(g)``:
+    sort the tree's edges ascending, and for k = 1..n score every
+    connected component of the forest left after deleting the k-1
+    lightest edges with :func:`subset_score`, using the k-th sorted
+    weight (infinity at k = n) as the communication bottleneck; a
+    component's batch term is kept while it survives.  After scoring,
     the step's edge is removed — ties among equal weights go to the
     lexicographically smallest endpoint pair, and ties among equal
     component scores prefer the larger subset, then the smallest minimum
@@ -200,10 +200,7 @@ def find_fastest_subset(g: WeightedGraph, params: ProblemParams, tree=None):
     Returns ``(SubsetChoice, SelectionTrace)``; the trace records every
     step (weight, components, best score, removed edge).
     """
-    if tree is None:
-        tree = gomory_hu_tree(g)
-    elif set(tree.nodes) != set(g.nodes):
-        raise ValueError("cut tree and graph have different nodes")
+    tree = gomory_hu_tree(g)
     nodes = tree.nodes
     n = len(nodes)
     order = tree.sorted_edges()
@@ -211,17 +208,22 @@ def find_fastest_subset(g: WeightedGraph, params: ProblemParams, tree=None):
 
     steps = []
     best_choice = None
+    terms = {}  # component -> batch term, None for an all-switch one
     remaining = [(u, v) for u, v, _ in order]
     for k in range(1, n + 1):
         weight = order[k - 1][2] if k <= n - 1 else INFINITY
         comps = _components(nodes, remaining)
         if len(comps) != k:
             raise AssertionError("forest component count drifted")
+        comm = 0.0 if weight == INFINITY else params.d / weight
         step_best = None
         for comp in comps:
-            if not any(math.isfinite(h[i]) for i in comp):
+            if comp not in terms:
+                terms[comp] = harmonic_batch_term(params.ratio, comp, h) \
+                    if any(math.isfinite(h[i]) for i in comp) else None
+            if terms[comp] is None:
                 continue  # all-switch component: score +inf, never chosen
-            score = subset_score(k, comp, params, weight, h)
+            score = comm + terms[comp]
             key = (score, -len(comp), comp[0])
             if step_best is None or key < step_best[0]:
                 step_best = (key, comp, score)

@@ -3,17 +3,22 @@
 ``perfbench/tracing.py`` wraps layer functions at the module attributes
 their callers look up; a refactor that drops one makes a traced benchmark
 run stop with ``LookupError``.  These tests resolve every site the same
-way, and pin the two call shapes the benchmark reads positionally.
+way, pin the two call shapes the benchmark reads positionally, and run
+small commands traced to check that the recorded spans pass the audit.
 """
 
+import contextlib
 import dataclasses
 import importlib.util
 import inspect
+import io
 import pathlib
+import time
 
 import pytest
 
 from flowsgd import TreePacking, find_fastest_subset
+from flowsgd.cli import main
 
 _TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
     / "tracing.py"
@@ -48,3 +53,25 @@ def test_positional_shapes_the_benchmark_reads():
     # the plan check builds TreePacking from four positional fields
     assert [f.name for f in dataclasses.fields(TreePacking)] \
         == ["trees", "terminals", "pivot", "alpha"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--gen", "torus:7x7", "--d", "1000", "--sigma2", "1000"],
+    ["plan", "--gen", "clusters:30x3:b_slow=0.1", "--d", "1000",
+     "--sigma2", "1000"],
+    ["experiment", "--gen", "torus:4x4", "--methods", "grace,leon,sync,hero",
+     "--seeds", "0:2"],
+    ["analyze", "--gen", "torus:7x7"],
+])
+def test_traced_command_passes_the_audit(tmp_path, argv):
+    # Nested spans of one name mean a site is wrapped twice.  The command
+    # is timed inside the root span, on graphs big enough that the few
+    # statements between the two clocks stay well under the 1% tolerance.
+    tracer = tracing.Tracer()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()), \
+            tracer.operation("op"):
+        start = time.perf_counter()
+        rc = main(argv + ["--out", str(tmp_path)])
+        seconds = time.perf_counter() - start
+    assert rc == 0
+    assert tracer.audit("op", seconds) == []

@@ -105,8 +105,7 @@ def test_plan_store_forward_pays_a_block_per_hop(tmp_path, capsys):
                          "store_forward": 2 * 5 * 500}
 
 
-def test_plan_builds_one_cut_tree(tmp_path, monkeypatch):
-    # selection and the packing alpha read the tree gh_tree.json records
+def count_max_flows(monkeypatch):
     calls = []
     flow = flowsgd.graph_core.max_flow_min_cut
 
@@ -115,11 +114,28 @@ def test_plan_builds_one_cut_tree(tmp_path, monkeypatch):
         return flow(*args)
 
     monkeypatch.setattr(flowsgd.graph_core, "max_flow_min_cut", counted)
+    return calls
+
+
+def test_plan_builds_one_cut_tree(tmp_path, monkeypatch):
+    # selection and the packing alpha read the tree gh_tree.json records
+    calls = count_max_flows(monkeypatch)
     assert main(["plan", "--gen", "torus:5x5", "--d", "1000", "--sigma2",
                  "1000", "--out", str(tmp_path)]) == 0
     assert len(calls) == 24  # n - 1 max-flows: one Gomory-Hu tree
     packing = json.loads((tmp_path / "packing.json").read_text())
     assert packing["p"] == 4 and packing["alpha"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--methods", "grace,leon,sync,hero", "--seeds", "0:3"],
+    ["analyze"],
+])
+def test_every_command_builds_one_cut_tree(tmp_path, monkeypatch, argv):
+    # every training cell and both cut-based bounds share the graph's tree
+    calls = count_max_flows(monkeypatch)
+    assert main(argv + ["--gen", "torus:4x4", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 15
 
 
 def test_plan_with_infinite_links_packs_the_proxy(tmp_path):
@@ -221,6 +237,13 @@ def test_exit_code_for_bad_values(tmp_path):
     assert main(["simulate", "--gen", "star:3:b=0.01", "--out",
                  str(tmp_path), "--max-iters", "50", "--d", "1000",
                  "--max-sim-seconds", "1"]) == 1
+
+
+@pytest.mark.parametrize("cap", ["0", "-1", "nan"])
+def test_sim_cap_must_be_positive(tmp_path, capsys, cap):
+    assert main(["simulate", "--gen", "star:3", "--out", str(tmp_path),
+                 "--max-sim-seconds", cap]) == 2
+    assert "--max-sim-seconds must be positive" in capsys.readouterr().err
 
 
 def test_out_env_is_honored(tmp_path, monkeypatch):

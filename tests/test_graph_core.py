@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -80,6 +81,24 @@ def test_min_cut_rejects_equal_endpoints(five_node):
 def test_gh_tree_weight_multiset(five_node):
     tree = gomory_hu_tree(five_node)
     assert tree.weights() == [1.0, 2.0, 2.0, 3.0]
+
+
+def test_gh_tree_is_built_once_per_graph(five_node):
+    tree = gomory_hu_tree(five_node)
+    assert gomory_hu_tree(five_node) is tree
+    # an undirected view is not cached: each call builds a new tree
+    und = five_node.undirected()
+    assert gomory_hu_tree(und) == tree
+    assert gomory_hu_tree(und) is not gomory_hu_tree(und)
+
+
+def test_replaced_graph_gets_its_own_tree(five_node):
+    tree = gomory_hu_tree(five_node)
+    doubled = replace(five_node, bandwidth={
+        k: 2 * b for k, b in five_node.bandwidth.items()})
+    assert gomory_hu_tree(doubled).edges == tuple(
+        (u, v, 2 * w) for u, v, w in tree.edges)
+    assert gomory_hu_tree(five_node) is tree
 
 
 def test_gh_tree_single_node():
