@@ -17,7 +17,7 @@ built on:
 Bandwidths are coordinates per second, computation times are seconds per
 gradient, and latencies are seconds per hop.  All structures are plain
 frozen dataclasses; treat their dict fields as read-only: a graph
-caches its adjacency and its cut tree.
+caches its adjacency, its cut tree and its finite-bandwidth proxy.
 """
 
 from __future__ import annotations
@@ -77,6 +77,19 @@ class WeightedGraph:
     @cached_property
     def _cut_tree(self):
         return _build_gomory_hu_tree(self.undirected())
+
+    @cached_property
+    def _finite_proxy(self):
+        finite = [b for b in self.bandwidth.values() if math.isfinite(b)]
+        if len(finite) == len(self.bandwidth):
+            return self
+        if not finite:
+            raise ValueError(
+                "all links are infinite; nothing to scale against")
+        cap = max(finite) * 16.0
+        bw = {k: (cap if not math.isfinite(b) else b)
+              for k, b in self.bandwidth.items()}
+        return replace(self, bandwidth=bw)
 
     def undirected(self):
         """Collapse the directed pairs into one weighted edge per link."""
@@ -536,29 +549,21 @@ def unit_multigraph(g, max_scale=10 ** 6):
     return UnitMultigraph(tuple(sorted(und.nodes)), scale, mult)
 
 
-def finite_bandwidth_proxy(g, factor=16.0):
-    """Replace infinite link bandwidths with ``factor`` times the fastest
-    finite one, so the tree-packing machinery (which needs rational
-    capacities) can run on graphs that mix finite and infinite links.
+def finite_bandwidth_proxy(g):
+    """Replace infinite link bandwidths with 16 times the fastest finite
+    one, so the tree-packing machinery (which needs rational capacities)
+    can run on graphs that mix finite and infinite links.
 
-    An infinite link then admits ``factor`` times as many unit tree
-    instances as the widest finite link, which is enough for it never to
-    be the packing bottleneck in practice.  Graphs with no infinite link
-    are returned unchanged; graphs with *only* infinite links are an
-    error -- on those, communication takes no simulated time at all and
-    callers should skip the transfer entirely.
+    An infinite link then admits 16 times as many unit tree instances as
+    the widest finite link, which is enough for it never to be the
+    packing bottleneck in practice.  The proxy is built once per graph
+    and returned on every later call, so its cut tree is built once too.
+    Graphs with no infinite link are returned unchanged; graphs with
+    *only* infinite links are an error -- on those, communication takes
+    no simulated time at all and callers should skip the transfer
+    entirely.
     """
-    if factor <= 1:
-        raise ValueError("factor must exceed 1")
-    finite = [b for b in g.bandwidth.values() if math.isfinite(b)]
-    if len(finite) == len(g.bandwidth):
-        return g
-    if not finite:
-        raise ValueError("all links are infinite; nothing to scale against")
-    cap = max(finite) * factor
-    bw = {k: (cap if not math.isfinite(b) else b)
-          for k, b in g.bandwidth.items()}
-    return replace(g, bandwidth=bw)
+    return g._finite_proxy
 
 
 # == Leaf/branch peeling ==

@@ -7,9 +7,13 @@ streaming model.  Because the timing model is deterministic, the
 per-iteration collection and AllReduce times are computed once per run
 and reused — only the gradient draws differ across iterations.
 
-Noise is additive isotropic Gaussian with per-coordinate variance σ²/d,
-drawn from a counter-based generator keyed by (seed, worker, iteration)
-so a trace never depends on scheduling or thread count.
+Noise is additive isotropic Gaussian with variance σ²/d per coordinate
+and per gradient.  Every method's step sees its batch's noises only
+through one weighted sum, so each iteration draws that sum as one
+d-vector, N(0, w·σ²/d) with the method's weight w, from a counter-based
+generator keyed by (seed, iteration): a trace never depends on
+scheduling or thread count, and a run builds one generator per
+iteration, not one per (worker, iteration).
 """
 
 from __future__ import annotations
@@ -138,11 +142,12 @@ class StochasticOracle:
     """Seeded noisy-gradient source shared by all methods.
 
     ``objectives`` is one Objective (homogeneous) or a sequence of
-    per-worker components whose uniform average is the target.  Each
-    draw adds N(0, σ²/d) noise per coordinate, so E‖g−∇f‖² = σ².  The
-    noise stream for a (worker, iteration) pair is an independent
-    counter-based generator, making traces reproducible regardless of
-    execution order.
+    per-worker components whose uniform average is the target.  A single
+    gradient carries N(0, σ²/d) noise per coordinate, so E‖g−∇f‖² = σ².
+    The training loops draw each iteration's summed noise as one vector
+    keyed by (seed, iteration); :meth:`gradient_sum` draws one keyed by
+    (seed, worker, iteration).  Both come from counter-based generators,
+    so traces are reproducible regardless of execution order.
     """
 
     def __init__(self, objectives, sigma2, seed=0):
@@ -161,21 +166,30 @@ class StochasticOracle:
         return "homogeneous" if len(self.components) == 1 \
             else "heterogeneous"
 
-    def _rng(self, worker, iteration):
-        seq = np.random.SeedSequence(entropy=self.seed,
-                                     spawn_key=(worker, iteration))
-        return np.random.Generator(np.random.Philox(seq))
+    def _draw(self, key, weight, d):
+        """Summed noise N(0, weight·σ²/d) per coordinate, or 0.0 if none.
+
+        ``weight`` is the sum of the squared coefficients put on the
+        single-gradient noises: B for a sum of B gradients, Σ_w 1/(n²·B_w)
+        for leon's mean of per-worker means.  The vector comes from the
+        Philox stream of (seed, *key): the training loops key it by
+        iteration, so methods with equal weights draw the same vector.
+        """
+        if self.sigma2 == 0 or weight == 0:
+            return 0.0
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
+        rng = np.random.Generator(np.random.Philox(seq))
+        return rng.normal(0.0, math.sqrt(weight * self.sigma2 / d), d)
 
     def gradient_sum(self, x, worker, iteration, count, component=0):
-        """Sum of ``count`` noisy gradients of one component at x."""
+        """Sum of ``count`` noisy gradients of one component at x.
+
+        The summed noise, N(0, count·σ²/d) per coordinate, is one vector
+        keyed by (seed, worker, iteration).
+        """
         obj = self.components[component]
-        total = count * obj.grad(x)
-        if self.sigma2 > 0 and count > 0:
-            scale = math.sqrt(self.sigma2 / obj.d)
-            noise = self._rng(worker, iteration).normal(
-                0.0, scale, (count, obj.d))
-            total = total + noise.sum(axis=0)
-        return total
+        return count * obj.grad(x) + self._draw((worker, iteration), count,
+                                                obj.d)
 
     def mean_value(self, x):
         return sum(o.f(x) for o in self.components) / len(self.components)
@@ -278,13 +292,13 @@ def _minibatch_sgd(method, objective, oracle, batch, elapsed, comm,
                    max_iters, gamma, target_grad_sq):
     """Shared grace/sync/hero run: one objective, a fixed batch per worker.
 
-    ``batch`` maps each worker to its gradients per iteration; every
-    iteration sums them (workers in id order, zero counts skipped) and
-    steps with γ/ΣB, γ defaulting to 1/(2L).  ``elapsed`` and ``comm``
-    are the per-iteration compute and communication seconds.
+    ``batch`` maps each worker to its gradients per iteration.  Every
+    iteration steps with γ/B times the batch's gradient sum, B·∇f(x) plus
+    one N(0, B·σ²/d) draw, where B = ΣB_w; γ defaults to 1/(2L).
+    ``elapsed`` and ``comm`` are the per-iteration compute and
+    communication seconds.
     """
     gamma = 1.0 / (2.0 * objective.L) if gamma is None else gamma
-    workers = sorted(w for w in batch if batch[w])
     total_batch = sum(batch.values())
     x = objective.x0.copy()
 
@@ -294,9 +308,8 @@ def _minibatch_sgd(method, objective, oracle, batch, elapsed, comm,
 
     def step(k):
         nonlocal x
-        total = np.zeros(objective.d)
-        for w in workers:
-            total += oracle.gradient_sum(x, w, k, batch[w])
+        total = total_batch * objective.grad(x) + oracle._draw(
+            (k,), total_batch, objective.d)
         x = x - (gamma / total_batch) * total
         return elapsed, comm, total_batch
 
@@ -312,9 +325,11 @@ def grace_sgd(g: WeightedGraph, objective: Objective,
     """Subset-planned SGD: plan once, then batch + AllReduce per step.
 
     The worker subset comes from the cut-tree planner unless ``subset``
-    overrides it.  Each iteration collects max{⌈σ²/ε⌉, 1} gradients
+    overrides it.  Each iteration collects B ≥ max{⌈σ²/ε⌉, 1} gradients
     across the subset (whoever finishes contributes), reduces the sum
-    over the packed trees, and steps with γ/ΣB.  γ defaults to 1/(2L).
+    over the packed trees, and steps with γ/B.  γ defaults to 1/(2L).
+    The sum is B·∇f(x) plus its noise, drawn as one N(0, B·σ²/d) vector
+    per iteration.
     ``mode`` is the AllReduce block handling, ``"streamed"`` or
     ``"store_forward"`` (see :func:`flowsgd.simulator.run_allreduce`).
     """
@@ -339,7 +354,9 @@ def leon_sgd(g: WeightedGraph, objectives, oracle: StochasticOracle,
 
     Every worker owns one component; accumulation continues until the
     rule fires, then the batch-averaged gradients are averaged again
-    across workers and exchanged over trees spanning all workers.
+    across workers and exchanged over trees spanning all workers.  That
+    mean of means is (1/n)·Σ_c ∇f_c(x) plus its noise, drawn as one
+    N(0, (σ²/d)·Σ_w 1/(n²·B_w)) vector per iteration.
     ``mode`` is the AllReduce block handling, ``"streamed"`` or
     ``"store_forward"``, as in :func:`grace_sgd`.
     """
@@ -359,6 +376,7 @@ def leon_sgd(g: WeightedGraph, objectives, oracle: StochasticOracle,
         lambda c: leon_stop_rule(tuple(c[w] for w in workers), n, params))
     comm = _allreduce_seconds(g, workers, d, mode)
     total_batch = sum(counts.values())
+    weight = sum(1.0 / counts[w] for w in workers) / (n * n)
 
     x = components[0].x0.copy()
 
@@ -369,11 +387,9 @@ def leon_sgd(g: WeightedGraph, objectives, oracle: StochasticOracle,
 
     def step(k):
         nonlocal x
-        mean = np.zeros(d)
-        for ci, w in enumerate(workers):
-            mean += oracle.gradient_sum(x, w, k, counts[w],
-                                        component=ci) / counts[w]
-        x = x - gamma * (mean / n)
+        mean = sum(o.grad(x) for o in components) / n \
+            + oracle._draw((k,), weight, d)
+        x = x - gamma * mean
         return elapsed, comm, total_batch
 
     rows, status, comm_total = _loop(stats, step, max_iters,

@@ -20,6 +20,7 @@ time bound, the target batch size, and the heterogeneous stopping rule.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -265,7 +266,8 @@ def leon_stop_rule(B, n, params: ProblemParams):
     True iff every worker holds at least one gradient and the harmonic
     mean of the counts is at least ``max(ceil(sigma^2/eps), n) / n``.
     Counts of zero simply evaluate to false (still waiting), not an
-    error.  Evaluated in exact rational arithmetic.
+    error.  Evaluated in exact rational arithmetic, one term per distinct
+    count.
     """
     counts = list(B)
     if len(counts) != n:
@@ -274,6 +276,7 @@ def leon_stop_rule(B, n, params: ProblemParams):
         raise ValueError("negative batch count")
     if any(b == 0 for b in counts):
         return False
-    harm = Fraction(n) / sum(Fraction(1, int(b)) for b in counts)
+    inverse = sum(Fraction(m, int(b)) for b, m in Counter(counts).items())
+    harm = Fraction(n) / inverse
     threshold = Fraction(max(_ceil_snapped(params.ratio), n), n)
     return harm >= threshold

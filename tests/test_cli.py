@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 import flowsgd.graph_core
@@ -136,6 +137,35 @@ def test_every_command_builds_one_cut_tree(tmp_path, monkeypatch, argv):
     calls = count_max_flows(monkeypatch)
     assert main(argv + ["--gen", "torus:4x4", "--out", str(tmp_path)]) == 0
     assert len(calls) == 15
+
+
+def test_training_cells_share_the_proxy_tree(tmp_path, monkeypatch):
+    # infinite links: one tree of the graph and one of its cached proxy
+    calls = count_max_flows(monkeypatch)
+    assert main(["experiment", "--gen", "clusters:40x4:b_slow=0.1",
+                 "--methods", "grace,leon,sync,hero", "--seeds", "0:2",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2 * 39
+
+
+def test_experiment_builds_one_generator_per_noisy_iteration(tmp_path,
+                                                             monkeypatch):
+    # each iteration draws its summed noise once, whatever the batch size
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    assert main(["experiment", "--gen", "torus:4x4", "--methods",
+                 "grace,leon,sync,hero", "--seeds", "0:2",
+                 "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "runs.csv")[1:]
+    iterations = sum(1 for row in rows if row[2] != "0")
+    assert max(int(row[6]) for row in rows) > 1
+    assert len(built) == iterations
 
 
 def test_plan_with_infinite_links_packs_the_proxy(tmp_path):

@@ -160,11 +160,13 @@ def test_finite_proxy_replaces_infinite_links():
     g = build_graph({"nodes": [{"id": i, "h": 1} for i in (1, 2, 3)],
                      "links": [{"a": 1, "b": 2, "bandwidth": "inf"},
                                {"a": 2, "b": 3, "bandwidth": 0.5}]})
-    proxy = finite_bandwidth_proxy(g, factor=16)
+    proxy = finite_bandwidth_proxy(g)
     assert proxy.bandwidth[(1, 2)] == 8.0
     assert proxy.bandwidth[(2, 3)] == 0.5
     # all-finite graphs pass through untouched
     assert finite_bandwidth_proxy(proxy) is proxy
+    # built once per graph, so its cut tree is too
+    assert finite_bandwidth_proxy(g) is proxy
 
 
 def test_finite_proxy_needs_a_finite_link():

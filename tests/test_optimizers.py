@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from flowsgd import (ProblemParams, StochasticOracle, build_graph,
-                     grace_sgd, hero_sgd, leon_sgd, make_objective,
+                     grace_sgd, hero_sgd, leon_sgd, leon_stop_rule,
+                     make_objective, run_gradient_computation,
                      run_naive_sync_round, sync_sgd)
 from flowsgd import topologies
 
@@ -89,6 +90,64 @@ def test_oracle_noise_statistics():
     errs = np.array(errs)
     assert np.abs(errs.mean(axis=0)).max() < 0.05
     assert np.mean((errs ** 2).sum(axis=1)) == pytest.approx(2.5, rel=0.10)
+
+
+def test_iteration_draw_is_keyed_by_seed_and_iteration():
+    oracle = StochasticOracle(quadratic(d=10), sigma2=2.0, seed=9)
+    a = oracle._draw((7,), 3, 10)
+    assert a.shape == (10,)
+    assert np.array_equal(a, oracle._draw((7,), 3, 10))
+    assert np.array_equal(a, StochasticOracle(quadratic(d=10), 2.0,
+                                              seed=9)._draw((7,), 3, 10))
+    assert not np.array_equal(a, oracle._draw((8,), 3, 10))
+    assert not np.array_equal(a, StochasticOracle(quadratic(d=10), 2.0,
+                                                  seed=10)._draw((7,), 3, 10))
+    # the weight scales one vector: same stream, a different variance
+    assert np.allclose(oracle._draw((7,), 12, 10), 2.0 * a)
+    assert oracle._draw((7,), 0, 10) == 0.0
+    assert StochasticOracle(quadratic(d=10), 0.0)._draw((7,), 3, 10) == 0.0
+
+
+def test_iteration_draw_has_the_weighted_variance():
+    d, sigma2, weight = 25, 2.5, 0.3
+    oracle = StochasticOracle(quadratic(d=d), sigma2, seed=1)
+    draws = np.array([oracle._draw((k,), weight, d) for k in range(4000)])
+    assert np.abs(draws.mean(axis=0)).max() < 0.05
+    assert np.mean((draws ** 2).sum(axis=1)) == pytest.approx(
+        weight * sigma2, rel=0.10)
+
+
+def test_leon_step_noise_matches_the_mean_of_worker_means():
+    # Three workers with unequal speeds stop at unequal counts B_w.  With
+    # gamma = 1/L one step lands at x1 = x̄* - noise, so the averaged
+    # gradient's squared norm after it is the step's squared noise.
+    d, sigma2, n = 16, 2.0, 3
+    g = build_graph({
+        "nodes": [{"id": i, "h": h} for i, h in ((1, 1.0), (2, 2.0),
+                                                  (3, 5.0))],
+        "links": [{"a": 1, "b": 2, "bandwidth": "inf"},
+                  {"a": 2, "b": 3, "bandwidth": "inf"}]})
+    p = params(d=float(d), sigma2=sigma2, epsilon=0.5)
+    counts, _ = run_gradient_computation(
+        (1, 2, 3), g.h, lambda c: leon_stop_rule((c[1], c[2], c[3]), n, p))
+    B = [counts[w] for w in (1, 2, 3)]
+    assert len(set(B)) == 3
+    weight = sum(1.0 / (n * n * b) for b in B)
+
+    # the old draw: B_w single gradients per worker, averaged per worker,
+    # then across workers
+    rng = np.random.default_rng(0)
+    scale = math.sqrt(sigma2 / d)
+    old = np.array([sum(rng.normal(0.0, scale, (b, d)).mean(axis=0)
+                        for b in B) / n for _ in range(4000)])
+    assert np.mean((old ** 2).sum(axis=1)) == pytest.approx(
+        weight * sigma2, rel=0.10)
+
+    comps = quadratic(d=d, n_components=n, seed=3)
+    steps = [leon_sgd(g, comps, StochasticOracle(comps, sigma2, seed=s), p,
+                      max_iters=1, gamma=1.0).rows[1][2]
+             for s in range(2000)]
+    assert np.mean(steps) == pytest.approx(weight * sigma2, rel=0.10)
 
 
 def test_oracle_rejects_bad_variance():

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,6 +125,19 @@ def test_leon_rule_waits_for_first_gradient():
     assert not leon_stop_rule((0, 50), 2, params(sigma2=0.0))
     with pytest.raises(ValueError):
         leon_stop_rule((1, 1, 1), 2, params())
+
+
+@given(st.lists(st.integers(min_value=0, max_value=12), min_size=1,
+                max_size=40),
+       st.integers(min_value=0, max_value=30))
+@settings(max_examples=300)
+def test_leon_rule_matches_the_per_worker_sum(counts, ratio):
+    # summing m/b once per distinct count b is the same exact rational
+    p = params(sigma2=float(ratio), epsilon=1.0)
+    n = len(counts)
+    expected = all(counts) and Fraction(n) / sum(
+        Fraction(1, b) for b in counts) >= Fraction(max(ratio, n), n)
+    assert leon_stop_rule(tuple(counts), n, p) == expected
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
