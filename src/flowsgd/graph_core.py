@@ -8,7 +8,8 @@ built on:
 
 ==================  =========================================================
 ``max_flow_min_cut``  exact min s-t cut on the undirected bandwidth view
-``gomory_hu_tree``    all-pairs min cuts in n-1 tree edges, cached per graph
+``gomory_hu_tree``    all-pairs min cuts in n-1 tree edges, cached per graph;
+                      its flows share one residual network
 ``min_S_cut``         smallest cut separating at least two nodes of a set
 ``unit_multigraph``   integral rescaling into unit-capacity parallel edges
 ``leaf_branch_peeling``  logarithmic-depth decomposition of a tree
@@ -44,6 +45,13 @@ def _as_h(value):
     if not h > 0:
         raise ValueError(f"computation time must be positive, got {h}")
     return h
+
+
+def _as_id(value):
+    # bool is an int subclass, and True would alias node 1
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"node id must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -154,9 +162,7 @@ def build_graph(spec):
         extra = set(ns) - {"id", "h"}
         if extra:
             raise ValueError(f"unknown node fields: {sorted(extra)}")
-        nid = ns["id"]
-        if not isinstance(nid, int):
-            raise ValueError(f"node id must be an integer, got {nid!r}")
+        nid = _as_id(ns["id"])
         if nid in h:
             raise ValueError(f"duplicate node id {nid}")
         h[nid] = _as_h(ns["h"])
@@ -168,7 +174,7 @@ def build_graph(spec):
         extra = set(ls) - {"a", "b", "bandwidth", "latency"}
         if extra:
             raise ValueError(f"unknown link fields: {sorted(extra)}")
-        a, b = ls["a"], ls["b"]
+        a, b = _as_id(ls["a"]), _as_id(ls["b"])
         if a == b:
             raise ValueError(f"self-link at node {a}")
         if a not in h or b not in h:
@@ -180,8 +186,9 @@ def build_graph(spec):
         if not bw > 0:
             raise ValueError(f"bandwidth on {a}-{b} must be positive")
         lat = float(ls.get("latency", 0.0))
-        if lat < 0:
-            raise ValueError(f"latency on {a}-{b} must be nonnegative")
+        if not 0 <= lat < INFINITY:
+            raise ValueError(
+                f"latency on {a}-{b} must be finite and nonnegative")
         for i, j in ((a, b), (b, a)):
             bandwidth[(i, j)] = bw
             latency[(i, j)] = lat
@@ -225,83 +232,159 @@ def serialize_topology(g):
 
 # == Maximum flow ==
 
-class _Dinic:
-    """Blocking-flow max-flow on an explicit residual network."""
+class _FlowNetwork:
+    """Residual network of an undirected view, built once for many flows.
 
-    def __init__(self, n):
-        self.adj = [[] for _ in range(n)]
+    Infinite links are contracted (the smallest id represents its
+    component) and the finite links between two components merged into
+    one link, whose two arcs ``a`` and ``a ^ 1`` are each the other's
+    residual.  Each :meth:`min_cut` resets the residual capacities to the
+    base ones in place, so flows never see each other's state.
+    """
 
-    def add_undirected(self, u, v, cap):
-        # one undirected edge = two arcs, each the other's residual
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, cap, len(self.adj[u]) - 1])
+    def __init__(self, und):
+        uf = _UnionFind(und.nodes)
+        for (u, v), w in und.weight.items():
+            if w == INFINITY:
+                uf.union(u, v)
+        reps = sorted({uf.find(v) for v in und.nodes})
+        index = {r: i for i, r in enumerate(reps)}
+        self.component = {v: index[uf.find(v)] for v in und.nodes}
+        self.members = [[] for _ in reps]
+        for v in und.nodes:
+            self.members[self.component[v]].append(v)
+        self.everything = frozenset(und.nodes)
 
-    def _levels(self, s, t, eps):
-        level = [-1] * len(self.adj)
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            for v, cap, _ in self.adj[u]:
-                if cap > eps and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
+        merged = {}
+        for (u, v), w in und.weight.items():
+            iu, iv = self.component[u], self.component[v]
+            if w == INFINITY or iu == iv:
+                continue
+            key = (iu, iv) if iu < iv else (iv, iu)
+            merged[key] = merged.get(key, 0.0) + w
+        self.arcs = [[] for _ in reps]  # arc ids out of each component
+        self.head = []  # component each arc points to
+        self.base = []  # capacity of each arc before any flow
+        self.degree = [0.0] * len(reps)  # total capacity of its links
+        for (iu, iv), w in sorted(merged.items()):
+            self.arcs[iu].append(len(self.head))
+            self.arcs[iv].append(len(self.head) + 1)
+            self.head += (iv, iu)
+            self.base += (w, w)
+            self.degree[iu] += w
+            self.degree[iv] += w
+        self.cap = list(self.base)
+        # residual capacities below this are exhausted
+        self.eps = max(self.base, default=1.0) * _FLOW_EPS
 
-    def _push(self, s, t, level, it, eps):
-        """Push the bottleneck of one s-t path in the level graph.
+    def min_cut(self, s, t):
+        """Minimum s-t cut; ``side`` is everything reachable from ``s``
+        in the final residual network, the smallest source side."""
+        cs, ct = self.component[s], self.component[t]
+        if cs == ct:
+            return CutResult(INFINITY, self.everything)
+        self.cap[:] = self.base
+        value, reach = self._max_flow(cs, ct)
+        return CutResult(value, frozenset(
+            v for i in reach for v in self.members[i]))
 
-        Depth-first along ``it[u]``, each node's next untried arc; a dead
-        end exhausts its node's arcs and advances its parent's.  Returns
-        0 when s itself runs out of arcs.
+    def _max_flow(self, s, t):
+        """Dinic's blocking flows; returns the value and the components
+        reachable from ``s`` in the final residual network.
+
+        No s-t cut exceeds the smaller terminal degree, so a flow that
+        reaches it (up to rounding) is maximum unless float slack still
+        leaves an augmenting path; only then does the search go on.
+        Either way the pushes are those of a run to exhaustion.
         """
-        adj = self.adj
-        path = []  # nodes whose current arc ``it[u]`` leads toward t
-        u = s
-        while u != t:
-            while it[u] < len(adj[u]):
-                v, cap, _ = adj[u][it[u]]
-                if cap > eps and level[v] == level[u] + 1:
-                    path.append(u)
-                    u = v
-                    break
-                it[u] += 1
-            else:
-                if not path:
-                    return 0.0
-                u = path.pop()
-                it[u] += 1
-        pushed = min(adj[w][it[w]][1] for w in path)
-        for w in path:
-            arc = adj[w][it[w]]
-            arc[1] -= pushed
-            adj[arc[0]][arc[2]][1] += pushed
-        return pushed
-
-    def max_flow(self, s, t):
-        caps = [cap for row in self.adj for _, cap, _ in row]
-        eps = max(caps, default=1.0) * _FLOW_EPS
+        bound = min(self.degree[s], self.degree[t]) * (1 - 1e-9)
         total = 0.0
         while True:
-            level = self._levels(s, t, eps)
-            if level is None:
-                return total, eps
-            it = [0] * len(self.adj)
+            level, reach = self._levels(s, t)
+            if level[t] < 0:
+                return total, reach
+            it = [0] * len(level)
             while True:
-                pushed = self._push(s, t, level, it, eps)
+                pushed = self._push(s, t, level, it)
                 if pushed <= 0:
                     break
                 total += pushed
+                if total >= bound:
+                    done, reach = self._levels(s, t)
+                    if done[t] < 0:
+                        return total, reach
+                    bound = INFINITY
 
-    def reachable(self, s, eps):
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v, cap, _ in self.adj[u]:
-                if cap > eps and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+    def _levels(self, s, t):
+        """Residual distances from ``s`` of the nodes on shortest s-t paths.
+
+        Returns ``(level, queue)``.  The breadth-first search stops at
+        ``t``'s level, and a pass back from ``t`` keeps only the nodes
+        that reach it; the rest keep level -1.  A push would find them
+        dead ends, so skipping them leaves the pushed flows unchanged.
+        When ``t`` is unreachable, ``queue`` holds every node reachable
+        from ``s``.
+        """
+        arcs, head, cap, eps = self.arcs, self.head, self.cap, self.eps
+        level = [-1] * len(arcs)
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            depth = level[u] + 1
+            if depth > level[t] >= 0:
+                break
+            for a in arcs[u]:
+                v = head[a]
+                if level[v] < 0 and cap[a] > eps:
+                    level[v] = depth
+                    queue.append(v)
+        if level[t] < 0:
+            return level, queue
+        live = [-1] * len(arcs)
+        live[t] = level[t]
+        back = [t]
+        for v in back:
+            depth = level[v] - 1
+            for a in arcs[v]:
+                u = head[a]
+                if level[u] == depth and live[u] < 0 and cap[a ^ 1] > eps:
+                    live[u] = depth
+                    back.append(u)
+        return live, queue
+
+    def _push(self, s, t, level, it):
+        """Push the bottleneck of one s-t path in the level graph.
+
+        Depth-first along ``it[u]``, the index of each node's next
+        untried arc; a dead end exhausts its node's arcs and advances its
+        parent's.  Returns 0 when s itself runs out of arcs.
+        """
+        arcs, head, cap, eps = self.arcs, self.head, self.cap, self.eps
+        path = []  # arcs of the walk from s to u
+        u = s
+        while u != t:
+            out = arcs[u]
+            i = it[u]
+            depth = level[u] + 1
+            while i < len(out):
+                a = out[i]
+                if cap[a] > eps and level[head[a]] == depth:
+                    break
+                i += 1
+            it[u] = i
+            if i < len(out):
+                path.append(a)
+                u = head[a]
+            else:
+                if not path:
+                    return 0.0
+                u = head[path.pop() ^ 1]
+                it[u] += 1
+        pushed = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= pushed
+            cap[a ^ 1] += pushed
+        return pushed
 
 
 class _UnionFind:
@@ -329,38 +412,12 @@ def max_flow_min_cut(g, s, t):
     Infinite-bandwidth links are contracted first, so graphs mixing
     finite and infinite capacities are fine; if ``s`` and ``t`` end up
     merged the cut value is infinite and ``side`` covers everything.
+    Otherwise ``side`` is the smallest source side of a minimum cut.
     """
     und = g.undirected() if isinstance(g, WeightedGraph) else g
     if s == t or s not in und.nodes or t not in und.nodes:
         raise ValueError(f"bad terminal pair ({s}, {t})")
-
-    uf = _UnionFind(und.nodes)
-    for (u, v), w in und.weight.items():
-        if w == INFINITY:
-            uf.union(u, v)
-    if uf.find(s) == uf.find(t):
-        return CutResult(INFINITY, frozenset(und.nodes))
-
-    reps = sorted({uf.find(v) for v in und.nodes})
-    index = {r: i for i, r in enumerate(reps)}
-    merged = {}
-    for (u, v), w in und.weight.items():
-        if w == INFINITY:
-            continue
-        ru, rv = uf.find(u), uf.find(v)
-        if ru == rv:
-            continue
-        key = (index[ru], index[rv]) if index[ru] < index[rv] \
-            else (index[rv], index[ru])
-        merged[key] = merged.get(key, 0.0) + w
-
-    net = _Dinic(len(reps))
-    for (iu, iv), w in sorted(merged.items()):
-        net.add_undirected(iu, iv, w)
-    value, eps = net.max_flow(index[uf.find(s)], index[uf.find(t)])
-    reach = net.reachable(index[uf.find(s)], eps)
-    side = frozenset(v for v in und.nodes if index[uf.find(v)] in reach)
-    return CutResult(value, side)
+    return _FlowNetwork(und).min_cut(s, t)
 
 
 # == Gomory-Hu tree ==
@@ -415,6 +472,14 @@ def gomory_hu_tree(g):
     afterwards; an :class:`UndirectedView` gets a fresh one per call.
     Nodes are processed in ascending id order with the lowest id as the
     initial hub, which makes the tree deterministic.
+
+    Gusfield's method runs all n-1 flows on one residual network, with
+    infinite links contracted once and capacities reset in place before
+    each flow.  A flow stops once it reaches the smaller weighted degree
+    of its two terminals, an upper bound on every cut between them.  Each
+    cut's source side is the set reachable from the source in the final
+    residual network, the smallest one, so the tree is the same as with
+    a separate :func:`max_flow_min_cut` per pair.
     """
     if isinstance(g, WeightedGraph):
         return g._cut_tree
@@ -425,13 +490,14 @@ def _build_gomory_hu_tree(und):
     nodes = sorted(und.nodes)
     if len(nodes) == 1:
         return GomoryHuTree(tuple(nodes), ())
+    net = _FlowNetwork(und)
     parent = {v: nodes[0] for v in nodes[1:]}
     weight = {}
     for v in nodes[1:]:
-        cut = max_flow_min_cut(und, v, parent[v])
+        cut = net.min_cut(v, parent[v])
         weight[v] = cut.value
-        for u in nodes:
-            if u != v and u in cut.side and parent.get(u) == parent[v]:
+        for u in cut.side:
+            if u != v and parent.get(u) == parent[v]:
                 parent[u] = v
         p = parent[v]
         if p in parent and parent[p] in cut.side:

@@ -56,13 +56,15 @@ class ProblemParams:
     delta: float
 
     def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("dimension must be nonnegative")
-        if self.sigma2 < 0:
-            raise ValueError("variance bound must be nonnegative")
+        if not 0 <= self.d < math.inf:
+            raise ValueError(
+                f"dimension must be finite and nonnegative, got {self.d}")
+        if not 0 <= self.sigma2 < math.inf:
+            raise ValueError("variance bound must be finite and "
+                             f"nonnegative, got {self.sigma2}")
         for name in ("epsilon", "L", "delta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def ratio(self):

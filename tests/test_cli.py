@@ -107,14 +107,16 @@ def test_plan_store_forward_pays_a_block_per_hop(tmp_path, capsys):
 
 
 def count_max_flows(monkeypatch):
+    # every max-flow, in a cut tree or alone, is one min_cut on a network
     calls = []
-    flow = flowsgd.graph_core.max_flow_min_cut
+    network = flowsgd.graph_core._FlowNetwork
+    flow = network.min_cut
 
-    def counted(*args):
-        calls.append(args[1:])
-        return flow(*args)
+    def counted(net, s, t):
+        calls.append((s, t))
+        return flow(net, s, t)
 
-    monkeypatch.setattr(flowsgd.graph_core, "max_flow_min_cut", counted)
+    monkeypatch.setattr(network, "min_cut", counted)
     return calls
 
 
@@ -267,6 +269,18 @@ def test_exit_code_for_bad_values(tmp_path):
     assert main(["simulate", "--gen", "star:3:b=0.01", "--out",
                  str(tmp_path), "--max-iters", "50", "--d", "1000",
                  "--max-sim-seconds", "1"]) == 1
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--d", "nan"), ("--d", "inf"), ("--sigma2", "nan"), ("--sigma2", "inf"),
+])
+def test_problem_scalars_must_be_finite(tmp_path, capsys, flag, value):
+    # at the parent, --d nan died mid-plan and --d inf planned one worker
+    assert main(["plan", "--gen", "star:8", flag, value,
+                 "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("cap", ["0", "-1", "nan"])

@@ -5,10 +5,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from flowsgd import (INFINITY, build_graph, finite_bandwidth_proxy,
-                     gomory_hu_tree, leaf_branch_peeling, max_flow_min_cut,
-                     min_S_cut, parse_topology, serialize_topology,
-                     unit_multigraph)
+from flowsgd import (INFINITY, GomoryHuTree, build_graph,
+                     finite_bandwidth_proxy, gomory_hu_tree,
+                     leaf_branch_peeling, max_flow_min_cut, min_S_cut,
+                     parse_topology, serialize_topology, unit_multigraph)
 from flowsgd import topologies
 
 import oracles
@@ -40,6 +40,27 @@ def test_build_rejects_bad_bandwidth():
             "links": [{"a": 1, "b": 2, "bandwidth": 0}]}
     with pytest.raises(ValueError):
         build_graph(spec)
+
+
+def _two_node_spec(**link):
+    return {"nodes": [{"id": 1, "h": 1}, {"id": 2, "h": 1}],
+            "links": [{"a": 1, "b": 2, "bandwidth": 1, **link}]}
+
+
+@pytest.mark.parametrize("latency", [math.nan, math.inf, -1.0])
+def test_build_rejects_bad_latency(latency):
+    with pytest.raises(ValueError, match="latency"):
+        build_graph(_two_node_spec(latency=latency))
+
+
+def test_build_rejects_bool_node_ids():
+    spec = _two_node_spec()
+    spec["nodes"][0]["id"] = True
+    with pytest.raises(ValueError, match="integer"):
+        build_graph(spec)
+    # True == 1, so a bool endpoint would alias node 1
+    with pytest.raises(ValueError, match="integer"):
+        build_graph(_two_node_spec(a=True))
 
 
 def test_topology_round_trip(five_node):
@@ -76,6 +97,19 @@ def test_min_cut_on_a_1500_ring():
 def test_min_cut_rejects_equal_endpoints(five_node):
     with pytest.raises(ValueError):
         max_flow_min_cut(five_node, 3, 3)
+
+
+def test_min_cut_goes_on_past_the_degree_bound_within_rounding():
+    # the flow from 1 reaches its degree 1 + 1e-10 up to 1e-9, but the
+    # 1e-10 path through 3 is still open
+    g = build_graph({"nodes": [{"id": i, "h": 1} for i in (1, 2, 3)],
+                     "links": [{"a": 1, "b": 2, "bandwidth": 1},
+                               {"a": 1, "b": 3, "bandwidth": 1e-10},
+                               {"a": 3, "b": 2, "bandwidth": 1}]})
+    cut = max_flow_min_cut(g, 1, 2)
+    assert cut.value == 1 + 1e-10
+    assert cut.side == {1}
+    assert gomory_hu_tree(g) == _reference_gomory_hu(g.undirected())
 
 
 def test_gh_tree_weight_multiset(five_node):
@@ -278,3 +312,97 @@ def test_multigraph_scales_cuts(seed):
     scaled = oracles.brute_force_min_s_cut(
         g.nodes, {k: float(m) for k, m in mg.multiplicity.items()}, S)
     assert math.isclose(scaled, mg.scale * ref, rel_tol=1e-9)
+
+
+# -- the shared residual network against one network per flow --
+
+def _reference_gomory_hu(und):
+    """Gusfield's method with one max_flow_min_cut, on a fresh network,
+    per pair: what gomory_hu_tree did before its flows shared one."""
+    nodes = sorted(und.nodes)
+    parent = {v: nodes[0] for v in nodes[1:]}
+    weight = {}
+    for v in nodes[1:]:
+        cut = max_flow_min_cut(und, v, parent[v])
+        weight[v] = cut.value
+        for u in nodes:
+            if u != v and u in cut.side and parent.get(u) == parent[v]:
+                parent[u] = v
+        p = parent[v]
+        if p in parent and parent[p] in cut.side:
+            parent[v] = parent[p]
+            parent[p] = v
+            weight[v] = weight[p]
+            weight[p] = cut.value
+    edges = tuple(sorted((min(v, p), max(v, p), weight[v])
+                         for v, p in parent.items()))
+    return GomoryHuTree(tuple(nodes), edges)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: topologies.p_torus(10),
+    lambda: topologies.star(200),
+    lambda: topologies.k_clusters(60, 6, b_slow=0.1, b_fast=10.0),
+    lambda: topologies.k_clusters(30, 3, b_slow=0.1),  # infinite links
+], ids=["torus:10x10", "star:200", "clusters:60x6", "clusters:30x3:inf"])
+def test_gh_tree_matches_one_network_per_flow(make):
+    g = make()
+    assert gomory_hu_tree(g) == _reference_gomory_hu(g.undirected())
+
+
+def _scaled_spec(seed, scale, n_max=10):
+    spec = random_graph_spec(random.Random(seed), n_max=n_max)
+    for ls in spec["links"]:
+        ls["bandwidth"] *= scale
+    return spec
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from([0.1, 1 / 3, 0.7]), st.data())
+def test_gh_tree_matches_one_network_per_flow_on_random_graphs(seed, scale,
+                                                               data):
+    # fractional bandwidths make float sums miss the degree bound exactly
+    spec = _scaled_spec(seed, scale)
+    links = spec["links"]
+    links[data.draw(st.integers(0, len(links) - 1))]["bandwidth"] = "inf"
+    und = build_graph(spec).undirected()
+    assert gomory_hu_tree(und) == _reference_gomory_hu(und)
+
+
+def _networkx_path_minima(nx, g):
+    # networkx's flows can cut wrongly on float capacities, so it gets
+    # the integral rescaling and its cut values are scaled back
+    mg = unit_multigraph(g)
+    graph = nx.Graph()
+    for (u, v), copies in mg.multiplicity.items():
+        graph.add_edge(u, v, weight=copies)
+    tree = nx.gomory_hu_tree(graph, capacity="weight")
+    minima = {}
+    for u in g.nodes:
+        for v, path in nx.single_source_shortest_path(tree, u).items():
+            if u < v:
+                minima[(u, v)] = min(tree[a][b]["weight"]
+                                     for a, b in zip(path, path[1:]))
+    return {pair: copies / mg.scale for pair, copies in minima.items()}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: topologies.p_torus(8),
+    lambda: topologies.k_clusters(60, 6, b_slow=0.1, b_fast=10.0),
+], ids=["torus:8x8", "clusters:60x6"])
+def test_gh_path_minima_match_networkx(make):
+    nx = pytest.importorskip("networkx")
+    g = make()
+    tree = gomory_hu_tree(g)
+    for (u, v), ref in _networkx_path_minima(nx, g).items():
+        assert math.isclose(tree.path_min_weight(u, v), ref, rel_tol=1e-9)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from([0.1, 1 / 3, 0.7, 1]))
+def test_gh_path_minima_match_networkx_on_random_graphs(seed, scale):
+    nx = pytest.importorskip("networkx")
+    g = build_graph(_scaled_spec(seed, scale, n_max=14))
+    tree = gomory_hu_tree(g)
+    for (u, v), ref in _networkx_path_minima(nx, g).items():
+        assert math.isclose(tree.path_min_weight(u, v), ref, rel_tol=1e-9)

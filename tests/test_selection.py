@@ -19,6 +19,13 @@ def params(d=100.0, sigma2=1.0, epsilon=0.1, L=1.0, delta=1.0):
                          delta=delta)
 
 
+@pytest.mark.parametrize("field", ["d", "sigma2", "epsilon", "L", "delta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite_scalars(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        params(**{field: value})
+
+
 def test_harmonic_single_worker_no_noise():
     assert harmonic_batch_term(0.0, (1,), {1: 3.0}) == 3.0
 
