@@ -255,6 +255,7 @@ def cmd_plan(cfg):
     g, params = cfg.graph, cfg.params
     tree = gomory_hu_tree(g)
     choice, trace = find_fastest_subset(g, params)
+    partition = trace.steps[choice.k - 1].components
 
     _write_json(os.path.join(cfg.out_dir, "gh_tree.json"), {
         "nodes": list(tree.nodes),
@@ -264,21 +265,28 @@ def cmd_plan(cfg):
         "chosen": {"subset": list(choice.subset), "k": choice.k,
                    "score": choice.score,
                    "weight": "inf" if choice.weight == INFINITY
-                             else choice.weight},
+                             else choice.weight,
+                   "components": [list(c) for c in partition]},
         "trace": trace.to_dict(),
     })
 
     print(f"cut tree weights: {tree.weights()}")
-    print("subset search (components after each edge removal):")
+    print("subset search (best component and removed edge at each step):")
     for step in trace.steps:
-        comps = " | ".join("{" + ",".join(map(str, c)) + "}"
-                           for c in step.components)
+        best = "none" if step.best is None else \
+            f"min {step.best[0]} size {step.best[1]}"
+        removed = "-" if step.removed_edge is None else \
+            "{}-{}".format(*step.removed_edge)
         print(f"  k={step.k} weight={_fmt(step.weight)} "
-              f"score={_fmt(step.best_score)}  {comps}")
+              f"score={_fmt(step.best_score)} best={best} removed={removed}")
+    print(f"chosen partition (k={choice.k}): "
+          + " | ".join("{" + ",".join(map(str, c)) + "}" for c in partition))
     print(f"chosen S*: {set(choice.subset)} (k={choice.k}, "
           f"t*={_fmt(choice.score)})")
 
-    if len(choice.subset) < 2:
+    # relay switches in S* forward but never compute: pack the workers
+    workers = [v for v in choice.subset if math.isfinite(g.h[v])]
+    if len(workers) < 2:
         _write_json(os.path.join(cfg.out_dir, "packing.json"),
                     {"p": 0, "notice": "single-worker plan: no trees needed"})
         print("packing: single worker, nothing to pack")
@@ -286,7 +294,7 @@ def cmd_plan(cfg):
 
     # the packing runs on the proxy, which is g unless g has infinite links
     proxy = finite_bandwidth_proxy(g)
-    packing = pack_steiner_trees(unit_multigraph(proxy), choice.subset,
+    packing = pack_steiner_trees(unit_multigraph(proxy), workers,
                                  gomory_hu_tree(proxy))
     _write_json(os.path.join(cfg.out_dir, "packing.json"), packing.to_dict())
     sim, schedule = run_allreduce(proxy, packing, int(params.d),

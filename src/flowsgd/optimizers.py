@@ -265,22 +265,24 @@ def _allreduce_seconds(g, terminals, d, mode):
     return trace.completion_time
 
 
-def _loop(objective_stats, steps, max_iters, target_grad_sq):
+def _loop(point, steps, max_iters, target_grad_sq):
     """Shared iteration driver: steps() advances x and returns the cost.
 
-    ``objective_stats`` maps x to (f, ‖∇f‖²); rows follow the trace
-    schema.  Returns ``(rows, status, comm_total)``.
+    ``point()`` gives (f, ∇f) at the current x, once per iterate; the
+    row records ‖∇f‖² and ``steps(k, grad)`` reuses that gradient.  Rows
+    follow the trace schema.  Returns ``(rows, status, comm_total)``.
     """
-    f0, g0 = objective_stats()
-    rows = [(0, 0.0, g0, f0, 0)]
+    f0, grad = point()
+    rows = [(0, 0.0, float(np.dot(grad, grad)), f0, 0)]
     t = 0.0
     status = "max_iters"
     comm_total = 0.0
     for k in range(1, max_iters + 1):
-        elapsed, comm, batch = steps(k)
+        elapsed, comm, batch = steps(k, grad)
         t += elapsed + comm
         comm_total += comm
-        fv, gsq = objective_stats()
+        fv, grad = point()
+        gsq = float(np.dot(grad, grad))
         rows.append((k, t, gsq, fv, batch))
         if target_grad_sq is not None and gsq <= target_grad_sq:
             status = "reached_target"
@@ -302,18 +304,17 @@ def _minibatch_sgd(method, objective, oracle, batch, elapsed, comm,
     total_batch = sum(batch.values())
     x = objective.x0.copy()
 
-    def stats():
-        gr = objective.grad(x)
-        return objective.f(x), float(np.dot(gr, gr))
+    def point():
+        return objective.f(x), objective.grad(x)
 
-    def step(k):
+    def step(k, grad):
         nonlocal x
-        total = total_batch * objective.grad(x) + oracle._draw(
+        total = total_batch * grad + oracle._draw(
             (k,), total_batch, objective.d)
         x = x - (gamma / total_batch) * total
         return elapsed, comm, total_batch
 
-    rows, status, comm_total = _loop(stats, step, max_iters,
+    rows, status, comm_total = _loop(point, step, max_iters,
                                      target_grad_sq)
     return TrainingTrace(method, tuple(rows), status, comm_total)
 
@@ -380,19 +381,17 @@ def leon_sgd(g: WeightedGraph, objectives, oracle: StochasticOracle,
 
     x = components[0].x0.copy()
 
-    def stats():
-        fv = sum(o.f(x) for o in components) / n
-        gr = sum(o.grad(x) for o in components) / n
-        return fv, float(np.dot(gr, gr))
+    def point():
+        return (sum(o.f(x) for o in components) / n,
+                sum(o.grad(x) for o in components) / n)
 
-    def step(k):
+    def step(k, grad):
         nonlocal x
-        mean = sum(o.grad(x) for o in components) / n \
-            + oracle._draw((k,), weight, d)
+        mean = grad + oracle._draw((k,), weight, d)
         x = x - gamma * mean
         return elapsed, comm, total_batch
 
-    rows, status, comm_total = _loop(stats, step, max_iters,
+    rows, status, comm_total = _loop(point, step, max_iters,
                                      target_grad_sq)
     return TrainingTrace("leon", tuple(rows), status, comm_total)
 

@@ -1,6 +1,6 @@
 """Choosing which workers should participate in an SGD iteration.
 
-The central routine, :func:`find_fastest_subset`, walks a Gomory-Hu tree
+The central routine, :func:`find_fastest_subset`, peels a Gomory-Hu tree
 of the communication graph from its lightest edge upward.  At step k the
 forest obtained by deleting the k-1 lightest tree edges partitions the
 nodes into k candidate subsets, and each candidate S is scored by
@@ -13,15 +13,21 @@ of computation for a variance-reducing batch (``ratio`` is sigma^2 over
 the target accuracy).  The subset attaining the global minimum is the one
 a bandwidth-aware method should train on.
 
+The peel runs in reverse, as offline union-find: adding the tree edges
+heaviest-first from n singletons gives the same forests, so each step
+merges two components and scores only the merged one anew.  The trace
+keeps one split per step; a step's full partition is rebuilt on demand.
+
 Also housed here: the per-iteration score pieces, the batch-collection
 time bound, the target batch size, and the heterogeneous stopping rule.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph_core import WeightedGraph, gomory_hu_tree
@@ -124,14 +130,51 @@ def subset_score(k, S, params, w_k, h):
     return comm + harmonic_batch_term(params.ratio, S, h)
 
 
+def _find(parent, x):
+    """Root of x in a union-find ``parent`` map, halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @dataclass(frozen=True)
 class SelectionStep:
+    """One peeling step: its weight, its best score and the split it makes.
+
+    ``best`` is ``(min node, size)`` of the best-scoring component, or
+    None when every component is all-switch.  ``components`` and
+    ``best_subset`` are not stored: they are rebuilt on access from the
+    tree's sorted edges, which all steps of one search share, so a trace
+    takes O(n) memory.
+    """
+
     k: int
     weight: float
-    components: tuple  # sorted tuples of node ids, k of them
-    best_subset: tuple  # () when every component is all-switch
+    best: tuple | None
     best_score: float
     removed_edge: tuple | None  # (u, v) deleted after scoring; None at k=n
+    nodes: tuple = field(repr=False, compare=False)
+    order: tuple = field(repr=False, compare=False)  # sorted tree edges
+
+    @property
+    def components(self):
+        """The k components, sorted tuples ordered by their minimum node."""
+        parent = {v: v for v in self.nodes}
+        for u, v, _ in self.order[self.k - 1:]:
+            parent[_find(parent, u)] = _find(parent, v)
+        groups = {}
+        for v in self.nodes:
+            groups.setdefault(_find(parent, v), []).append(v)
+        return tuple(sorted((tuple(sorted(c)) for c in groups.values()),
+                            key=lambda c: c[0]))
+
+    @property
+    def best_subset(self):
+        """The best component, or () when every component is all-switch."""
+        if self.best is None:
+            return ()
+        return next(c for c in self.components if c[0] == self.best[0])
 
 
 @dataclass(frozen=True)
@@ -147,6 +190,7 @@ class SelectionTrace:
     steps: tuple
 
     def to_dict(self):
+        """One split per step: numbers only, O(1) per step."""
         def num(x):
             return "inf" if x == INFINITY else x
 
@@ -155,9 +199,9 @@ class SelectionTrace:
                 {
                     "k": s.k,
                     "weight": num(s.weight),
-                    "components": [list(c) for c in s.components],
-                    "best_subset": list(s.best_subset),
                     "best_score": num(s.best_score),
+                    "best": None if s.best is None else
+                    {"min_node": s.best[0], "size": s.best[1]},
                     "removed_edge": list(s.removed_edge)
                     if s.removed_edge else None,
                 }
@@ -166,83 +210,111 @@ class SelectionTrace:
         }
 
 
-def _components(nodes, edges):
-    parent = {v: v for v in nodes}
+def _step_best(heap, comps, parent, comm):
+    """Best live component at this step's ``comm`` term, or None.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    groups = {}
-    for v in nodes:
-        groups.setdefault(find(v), []).append(v)
-    return sorted((tuple(sorted(g)) for g in groups.values()),
-                  key=lambda c: c[0])
+    ``heap`` holds ``(term, -size, min node)`` for every component ever
+    formed; an entry is live while the component holding its min node
+    still has that min node and size.  Float addition is monotone, so
+    ``comm + term`` never decreases along the heap order: the first live
+    entry gives the best score, and the scan goes on only while later
+    terms round to that same sum.  Among those it keeps the larger
+    subset, then the smaller min node.  Scanned entries go back.
+    """
+    best, seen = None, []
+    while heap:
+        term, neg_size, low = heap[0]
+        root = _find(parent, low)
+        if comps[root][:2] != (low, -neg_size):
+            heapq.heappop(heap)  # merged away
+            continue
+        score = comm + term
+        if best is not None and score != best[0]:
+            break
+        seen.append(heapq.heappop(heap))
+        if best is None or (neg_size, low) < best[1]:
+            best = (score, (neg_size, low))
+    for entry in seen:
+        heapq.heappush(heap, entry)
+    if best is None:
+        return None
+    score, (neg_size, low) = best
+    return score, (low, -neg_size)
 
 
 def find_fastest_subset(g: WeightedGraph, params: ProblemParams):
-    """Walk the Gomory-Hu tree and return the best-scoring worker subset.
+    """Peel the Gomory-Hu tree and return the best-scoring worker subset.
 
-    Implements the tree-peeling loop directly on ``gomory_hu_tree(g)``:
-    sort the tree's edges ascending, and for k = 1..n score every
-    connected component of the forest left after deleting the k-1
-    lightest edges with :func:`subset_score`, using the k-th sorted
-    weight (infinity at k = n) as the communication bottleneck; a
-    component's batch term is kept while it survives.  After scoring,
-    the step's edge is removed — ties among equal weights go to the
-    lexicographically smallest endpoint pair, and ties among equal
-    component scores prefer the larger subset, then the smallest minimum
-    node id.
+    Step k (k = 1..n) scores every component of the forest left after
+    deleting the k-1 lightest tree edges of ``gomory_hu_tree(g)`` with
+    :func:`subset_score`, using the k-th sorted weight (infinity at
+    k = n) as the communication bottleneck; the step's edge is then
+    removed.  Equal weights are removed in the order of
+    ``GomoryHuTree.sorted_edges``.  Equal scores prefer the larger
+    subset, then the smaller minimum node, and across steps the smaller k.
+
+    The loop runs the peel in reverse: deleting edges lightest-first
+    gives the same forests as adding them heaviest-first, so it starts
+    from n singletons at k = n and unions one edge per step.  Each root
+    keeps its min node, size and sorted finite ``h`` values, so only a
+    merged component needs a new harmonic prefix, and a heap of
+    ``(term, -size, min node)`` yields each step's best component.  Apart
+    from the merged components' prefixes, O(size) each, and scans over
+    float-tied scores, the search takes O(n log n).
 
     Returns ``(SubsetChoice, SelectionTrace)``; the trace records every
-    step (weight, components, best score, removed edge).
+    step (weight, best component, best score, removed edge).
     """
     tree = gomory_hu_tree(g)
     nodes = tree.nodes
     n = len(nodes)
-    order = tree.sorted_edges()
-    h = g.h
+    order = tuple(tree.sorted_edges())
+    ratio = params.ratio
+
+    parent = {v: v for v in nodes}
+    comps = {}  # root -> (min node, size, sorted finite h)
+    heap = []
+    for v in nodes:
+        finite = [g.h[v]] if math.isfinite(g.h[v]) else []
+        comps[v] = (v, 1, finite)
+        if finite:
+            heap.append((_harmonic_prefix(ratio, finite)[0], -1, v))
+    heapq.heapify(heap)
 
     steps = []
-    best_choice = None
-    terms = {}  # component -> batch term, None for an all-switch one
-    remaining = [(u, v) for u, v, _ in order]
-    for k in range(1, n + 1):
-        weight = order[k - 1][2] if k <= n - 1 else INFINITY
-        comps = _components(nodes, remaining)
-        if len(comps) != k:
-            raise AssertionError("forest component count drifted")
+    best_step = None
+    for k in range(n, 0, -1):
+        removed = None
+        weight = INFINITY
+        if k < n:
+            u, v, weight = order[k - 1]
+            removed = (u, v)
+            ru, rv = _find(parent, u), _find(parent, v)
+            low_u, size_u, h_u = comps.pop(ru)
+            low_v, size_v, h_v = comps.pop(rv)
+            if size_u < size_v:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            merged = sorted(h_u + h_v)
+            low, size = min(low_u, low_v), size_u + size_v
+            comps[ru] = (low, size, merged)
+            if merged:
+                heapq.heappush(heap, (_harmonic_prefix(ratio, merged)[0],
+                                      -size, low))
         comm = 0.0 if weight == INFINITY else params.d / weight
-        step_best = None
-        for comp in comps:
-            if comp not in terms:
-                terms[comp] = harmonic_batch_term(params.ratio, comp, h) \
-                    if any(math.isfinite(h[i]) for i in comp) else None
-            if terms[comp] is None:
-                continue  # all-switch component: score +inf, never chosen
-            score = comm + terms[comp]
-            key = (score, -len(comp), comp[0])
-            if step_best is None or key < step_best[0]:
-                step_best = (key, comp, score)
-        removed = remaining.pop(0) if k <= n - 1 else None
-        if step_best is None:
-            steps.append(SelectionStep(k, weight, tuple(comps), (),
-                                       INFINITY, removed))
-            continue
-        _, comp, score = step_best
-        steps.append(SelectionStep(k, weight, tuple(comps), comp, score,
-                                   removed))
-        if best_choice is None or score < best_choice.score:
-            best_choice = SubsetChoice(comp, k, score, weight)
-    if best_choice is None:
+        pick = _step_best(heap, comps, parent, comm)
+        score, best = (INFINITY, None) if pick is None else pick
+        step = SelectionStep(k, weight, best, score, removed, nodes, order)
+        steps.append(step)
+        if pick is not None and (best_step is None
+                                 or score <= best_step.best_score):
+            best_step = step
+    if best_step is None:
         raise ValueError("graph has no node able to compute")
-    return best_choice, SelectionTrace(tuple(steps))
+    steps.reverse()
+    choice = SubsetChoice(best_step.best_subset, best_step.k,
+                          best_step.best_score, best_step.weight)
+    return choice, SelectionTrace(tuple(steps))
 
 
 def batch_collection_bound(B, S, h):

@@ -60,6 +60,30 @@ def test_analyze_asymptotic_mode(tmp_path):
     assert {r[0] for r in rows[1:]} == {"grace", "hero"}
 
 
+def partitions_from_trace(tree, steps):
+    """Each step's forest: the cut tree minus the edges removed before it."""
+    removed = set()
+    by_k = {}
+    for step in steps:
+        parent = {v: v for v in tree["nodes"]}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for u, v, _ in tree["edges"]:
+            if (u, v) not in removed:
+                parent[find(u)] = find(v)
+        groups = {}
+        for v in tree["nodes"]:
+            groups.setdefault(find(v), []).append(v)
+        by_k[step["k"]] = sorted(sorted(g) for g in groups.values())
+        if step["removed_edge"] is not None:
+            removed.add(tuple(sorted(step["removed_edge"])))
+    return by_k
+
+
 def test_plan_documents_the_subset_search(tmp_path, capsys):
     out = tmp_path / "plan"
     rc = main(["plan", write_five_node(tmp_path), "--out", str(out)])
@@ -67,17 +91,67 @@ def test_plan_documents_the_subset_search(tmp_path, capsys):
     tree = json.loads((out / "gh_tree.json").read_text())
     assert sorted(w for _, _, w in tree["edges"]) == [1.0, 2.0, 2.0, 3.0]
     sel = json.loads((out / "selection.json").read_text())
-    steps = {s["k"]: s["components"] for s in sel["trace"]["steps"]}
+    # the trace keeps one split per step; the partitions follow from it
+    steps = partitions_from_trace(tree, sel["trace"]["steps"])
     assert steps[2] == [[1, 2, 3, 5], [4]]
     assert steps[3] == [[1, 2, 5], [3], [4]]
     assert steps[4] == [[1, 2], [3], [4], [5]]
     assert steps[5] == [[1], [2], [3], [4], [5]]
+    for step in sel["trace"]["steps"]:
+        best = step["best"]
+        assert [best["min_node"], best["size"]] in \
+            [[c[0], len(c)] for c in steps[step["k"]]]
     # an expensive vector on a weak graph: work alone, nothing to pack
     assert sel["chosen"]["subset"] == [1]
+    assert sel["chosen"]["components"] == steps[sel["chosen"]["k"]]
     packing = json.loads((out / "packing.json").read_text())
     assert packing["p"] == 0 and "single-worker" in packing["notice"]
     assert not (out / "schedule.json").exists()
     assert "chosen S*" in capsys.readouterr().out
+
+
+def test_plan_packs_only_the_workers_of_the_subset(tmp_path, capsys):
+    # S* = {1, 2} holds one worker and the relay 2 it reaches over an
+    # infinite link: a single-worker plan, with no trees to pack
+    path = tmp_path / "relay.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": 1, "h": 1}, {"id": 2, "h": "inf"},
+                  {"id": 3, "h": 100}],
+        "links": [{"a": 1, "b": 2, "bandwidth": "inf"},
+                  {"a": 2, "b": 3, "bandwidth": 0.01}]}))
+    out = tmp_path / "relay"
+    assert main(["plan", str(path), "--d", "100", "--out", str(out)]) == 0
+    sel = json.loads((out / "selection.json").read_text())
+    assert sel["chosen"]["subset"] == [1, 2]
+    packing = json.loads((out / "packing.json").read_text())
+    assert packing == {"p": 0,
+                       "notice": "single-worker plan: no trees needed"}
+    assert not (out / "schedule.json").exists()
+    assert "single worker, nothing to pack" in capsys.readouterr().out
+
+
+def _selection_bytes(tmp_path, spec):
+    out = tmp_path / spec.replace(":", "_")
+    assert main(["plan", "--gen", spec, "--out", str(out)]) == 0
+    return (out / "selection.json").stat().st_size
+
+
+def test_selection_json_grows_linearly(tmp_path, capsys):
+    # one split per step: doubling the star roughly doubles the file
+    small = _selection_bytes(tmp_path, "star:200")
+    large = _selection_bytes(tmp_path, "star:400")
+    assert large < 2.5 * small
+
+
+def test_plan_scales_to_a_300_node_ring(tmp_path, capsys):
+    # every step adds one fixed-size record to the file and to stdout
+    out = tmp_path / "ring"
+    assert main(["plan", "--gen", "ring:300", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    sel = json.loads((out / "selection.json").read_text())
+    assert len(sel["trace"]["steps"]) == 300
+    assert (out / "selection.json").stat().st_size < 300 * 300
+    assert len(text) < 300 * 120
 
 
 def test_plan_packs_trees_when_cooperation_wins(tmp_path):
