@@ -21,8 +21,8 @@ from .selection import (ProblemParams, SelectionTrace, SubsetChoice,
 from .steiner_packing import (PackingReport, SteinerTree, TreePacking,
                               min_S_cut_multigraph, orient_to_pivot,
                               pack_steiner_trees, verify_packing)
-from .simulator import (Flow, SimSchedule, SimTimeoutError, SimTrace,
-                        TraceEvent, audit_capacity, run_allreduce,
+from .simulator import (SimSchedule, SimTimeoutError, SimTrace, TraceEvent,
+                        audit_capacity, run_allreduce,
                         run_gradient_computation, run_naive_sync_round,
                         run_separate_transfers, shared_edge_rates)
 from .analyzer import (ComplexityReport, TradeoffReport, grace_complexity,
@@ -47,7 +47,7 @@ __all__ = [
     "leon_stop_rule", "subset_score",
     "PackingReport", "SteinerTree", "TreePacking", "min_S_cut_multigraph",
     "orient_to_pivot", "pack_steiner_trees", "verify_packing",
-    "Flow", "SimSchedule", "SimTimeoutError", "SimTrace", "TraceEvent",
+    "SimSchedule", "SimTimeoutError", "SimTrace", "TraceEvent",
     "audit_capacity", "run_allreduce", "run_gradient_computation",
     "run_naive_sync_round", "run_separate_transfers", "shared_edge_rates",
     "ComplexityReport", "TradeoffReport", "grace_complexity",

@@ -29,8 +29,9 @@ from .analyzer import (grace_complexity, hero_sgd_complexity,
 from .graph_core import (INFINITY, WeightedGraph, finite_bandwidth_proxy,
                          gomory_hu_tree, parse_topology, serialize_topology,
                          unit_multigraph)
-from .optimizers import (StochasticOracle, grace_sgd, hero_sgd, leon_sgd,
-                         make_objective, sync_sgd)
+from .optimizers import (StochasticOracle, _all_infinite_bandwidth,
+                         grace_sgd, hero_sgd, leon_sgd, make_objective,
+                         sync_sgd)
 from .selection import ProblemParams, find_fastest_subset
 from .simulator import run_allreduce
 from .steiner_packing import pack_steiner_trees
@@ -142,7 +143,7 @@ def _config(args, methods, seeds):
     out = args.out or os.environ.get(OUT_ENV) or "."
     os.makedirs(out, exist_ok=True)
     cap = getattr(args, "max_sim_seconds", None)
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         graph=_load_graph(args),
         params=ProblemParams(d=args.d, sigma2=args.sigma2,
                              epsilon=args.epsilon, L=args.lipschitz,
@@ -157,6 +158,11 @@ def _config(args, methods, seeds):
         target_grad_sq=getattr(args, "target_grad_sq", None),
         max_sim_seconds=INFINITY if cap is None else cap,
     )
+    # every command but analyze builds vectors of d coordinates
+    d = cfg.params.d
+    if args.command != "analyze" and not (d >= 1 and d.is_integer()):
+        raise ValueError(f"--d must be a whole number >= 1, got {d:g}")
+    return cfg
 
 
 # == Output helpers ==
@@ -286,10 +292,19 @@ def cmd_plan(cfg):
 
     # relay switches in S* forward but never compute: pack the workers
     workers = [v for v in choice.subset if math.isfinite(g.h[v])]
-    if len(workers) < 2:
+    schedule_path = os.path.join(cfg.out_dir, "schedule.json")
+    if len(workers) < 2 or _all_infinite_bandwidth(g):
+        if len(workers) < 2:
+            notice = "single-worker plan: no trees needed"
+            line = "single worker, nothing to pack"
+        else:
+            notice = "all links are infinite: no trees needed"
+            line = "all links infinite, communication is free"
         _write_json(os.path.join(cfg.out_dir, "packing.json"),
-                    {"p": 0, "notice": "single-worker plan: no trees needed"})
-        print("packing: single worker, nothing to pack")
+                    {"p": 0, "notice": notice})
+        if os.path.exists(schedule_path):
+            os.remove(schedule_path)
+        print(f"packing: {line}")
         return 0
 
     # the packing runs on the proxy, which is g unless g has infinite links
@@ -301,7 +316,7 @@ def cmd_plan(cfg):
                                   mode=cfg.comm_mode)
     doc = schedule.to_dict()
     doc["predicted_seconds"] = sim.completion_time
-    _write_json(os.path.join(cfg.out_dir, "schedule.json"), doc)
+    _write_json(schedule_path, doc)
     print(f"packing: p={packing.p} trees, alpha={_fmt(packing.alpha)} "
           f"(ratio {packing.ratio:.3f})")
     print(f"allreduce of d={int(params.d)}: {sim.completion_time:.6g}s "

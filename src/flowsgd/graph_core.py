@@ -11,14 +11,16 @@ built on:
 ``gomory_hu_tree``    all-pairs min cuts in n-1 tree edges, cached per graph;
                       its flows share one residual network
 ``min_S_cut``         smallest cut separating at least two nodes of a set
-``unit_multigraph``   integral rescaling into unit-capacity parallel edges
+``unit_multigraph``   integral rescaling into unit-capacity parallel edges,
+                      cached per graph
 ``leaf_branch_peeling``  logarithmic-depth decomposition of a tree
 ==================  =========================================================
 
 Bandwidths are coordinates per second, computation times are seconds per
 gradient, and latencies are seconds per hop.  All structures are plain
 frozen dataclasses; treat their dict fields as read-only: a graph
-caches its adjacency, its cut tree and its finite-bandwidth proxy.
+caches its adjacency, its cut tree, its unit multigraph and its
+finite-bandwidth proxy.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from functools import cached_property
 from fractions import Fraction
 
 INFINITY = math.inf
+
+# Largest denominator, and scale, a unit multigraph may use.
+MAX_SCALE = 10 ** 6
 
 # Residual capacities below this fraction of the largest capacity are
 # considered exhausted.  Integer bandwidths are handled exactly.
@@ -85,6 +90,10 @@ class WeightedGraph:
     @cached_property
     def _cut_tree(self):
         return _build_gomory_hu_tree(self.undirected())
+
+    @cached_property
+    def _unit_multigraph(self):
+        return _build_unit_multigraph(self.undirected())
 
     @cached_property
     def _finite_proxy(self):
@@ -579,15 +588,23 @@ class UnitMultigraph:
         return sum(self.multiplicity.values())
 
 
-def unit_multigraph(g, max_scale=10 ** 6):
+def unit_multigraph(g):
     """Smallest integer rescaling that makes every bandwidth integral.
 
     Each bandwidth is matched to a rational with denominator at most
-    ``max_scale``; the scale is the lcm of the denominators.  Bandwidths
+    ``MAX_SCALE``; the scale is the lcm of the denominators.  Bandwidths
     further than ``1e-9`` (relative) from that rational, infinite
-    bandwidths, or an lcm beyond ``max_scale`` are errors.
+    bandwidths, or an lcm beyond ``MAX_SCALE`` are errors.  Like
+    :func:`gomory_hu_tree`, a :class:`WeightedGraph` builds its
+    multigraph once and returns the same one afterwards; an
+    :class:`UndirectedView` gets a fresh one per call.
     """
-    und = g.undirected() if isinstance(g, WeightedGraph) else g
+    if isinstance(g, WeightedGraph):
+        return g._unit_multigraph
+    return _build_unit_multigraph(g)
+
+
+def _build_unit_multigraph(und):
     denoms = []
     fracs = {}
     for key in sorted(und.weight):
@@ -595,17 +612,17 @@ def unit_multigraph(g, max_scale=10 ** 6):
         if not math.isfinite(b):
             raise ValueError(
                 f"infinite bandwidth on {key} cannot be rescaled")
-        frac = Fraction(b).limit_denominator(max_scale)
+        frac = Fraction(b).limit_denominator(MAX_SCALE)
         if abs(float(frac) - b) > 1e-9 * max(1.0, b):
             raise ValueError(
                 f"bandwidth {b} on {key} is not rational within 1e-9 "
-                f"at scale {max_scale}")
+                f"at scale {MAX_SCALE}")
         fracs[key] = frac
         denoms.append(frac.denominator)
     scale = math.lcm(*denoms) if denoms else 1
-    if scale > max_scale:
+    if scale > MAX_SCALE:
         raise ValueError(
-            f"required scale {scale} exceeds max_scale {max_scale}")
+            f"required scale {scale} exceeds max_scale {MAX_SCALE}")
     mult = {}
     for key, frac in fracs.items():
         copies = frac * scale

@@ -7,19 +7,23 @@ than per-coordinate packets.  Three kinds of activity are modeled:
 * back-to-back gradient computation with an arbitrary monotone stopping
   predicate (:func:`run_gradient_computation`);
 * tree streaming for AllReduce schedules and for the naive aggregation
-  round (:func:`run_allreduce`, :func:`run_naive_sync_round`), timed by
+  round (:func:`run_allreduce`, :func:`run_naive_sync_round`), both a
+  reduce up every tree, a barrier and a broadcast back down, timed by
   one iterative kernel: a stream runs at the slowest rate feeding it and
   each hop adds its link latency plus a per-hop startup -- one
   coordinate slot when pipelined, the whole block when stored and
   forwarded -- in one bottom-up pass for the reduce phase and one
-  top-down pass for the broadcast;
+  top-down pass for the broadcast (the naive round is the one-tree case);
 * point-to-point transfers that contend for links and share them
   max-min fairly, recomputed at every event boundary
   (:func:`run_separate_transfers`, :func:`shared_edge_rates`).
 
 All runs are bit-deterministic: equal-time gradient completions are
 processed in node-id order, and transfers whose remaining size falls
-within a 1e-12 relative tolerance finish together.
+within a 1e-12 relative tolerance finish together.  A trace keeps its
+events in time order, equal times in the order they were produced.
+Events hold numbers: a directed ``(u, v)`` link and a flow's rate and
+start; :meth:`SimTrace.to_csv` is the one place they become text.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import heapq
 import io
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from .graph_core import WeightedGraph, unit_multigraph
@@ -43,23 +48,23 @@ class SimTimeoutError(RuntimeError):
 
 
 class TraceEvent(NamedTuple):
+    """One simulator event.
+
+    ``edge`` is the directed link ``(u, v)`` a flow crossed last, or
+    ``None``.  A streamed flow's ``flow_done`` carries its ``rate``
+    (coordinates per second) and ``start`` (seconds); a ``rate_change``
+    carries only the ``rate``; other events carry neither.  ``detail``
+    holds the remaining ``key=value`` fields, ``;``-separated.
+    """
+
     time: float
     event_kind: str  # gradient_done | flow_done | phase_done | rate_change
     node: object  # node id or ""
-    edge: str  # "u->v" or ""
+    edge: tuple | None
     flow_id: str
     detail: str
-
-
-@dataclass(frozen=True)
-class Flow:
-    flow_id: str
-    path: tuple  # directed (u, v) hops
-    size: float  # coordinates
-    rate: float  # coordinates per second on every hop
-    start: float
-    finish: float
-    role: str  # reduce | broadcast | transfer
+    rate: float | None = None
+    start: float | None = None
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,7 @@ class SimSchedule:
 class SimTrace:
     events: tuple
     completion_time: float
-    utilization: dict
+    utilization: dict  # directed (u, v) -> share of capacity in use
 
     def to_csv(self, path_or_file):
         if hasattr(path_or_file, "write"):
@@ -92,12 +97,19 @@ class SimTrace:
                 self._write(fh)
 
     def _write(self, fh):
+        # edge as "u->v"; rate and start appended to detail, each .17g
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["time", "event_kind", "node", "edge", "flow_id", "detail"])
         for ev in self.events:
-            writer.writerow([repr(ev.time), ev.event_kind, ev.node,
-                             ev.edge, ev.flow_id, ev.detail])
+            edge = "" if ev.edge is None else "{}->{}".format(*ev.edge)
+            detail = [ev.detail] if ev.detail else []
+            if ev.rate is not None:
+                detail.append(f"rate={ev.rate:.17g}")
+            if ev.start is not None:
+                detail.append(f"start={ev.start:.17g}")
+            writer.writerow([repr(ev.time), ev.event_kind, ev.node, edge,
+                             ev.flow_id, ";".join(detail)])
 
     def csv_bytes(self):
         buf = io.StringIO()
@@ -105,12 +117,8 @@ class SimTrace:
         return buf.getvalue().encode()
 
 
-def _edge_str(u, v):
-    return f"{u}->{v}"
-
-
 def _finish_trace(events, utilization):
-    events = tuple(sorted(events, key=lambda e: (e.time, e[1:])))
+    events = tuple(sorted(events, key=attrgetter("time")))
     completion = max((e.time for e in events), default=0.0)
     return SimTrace(events, completion, utilization)
 
@@ -147,7 +155,7 @@ def run_gradient_computation(workers, h, stop, max_seconds=1e9,
         counts[w] += 1
         done += 1
         if record is not None:
-            record.append(TraceEvent(t, "gradient_done", w, "", "",
+            record.append(TraceEvent(t, "gradient_done", w, None, "",
                                      f"count={counts[w]}"))
         if stop(dict(counts)):
             return counts, t
@@ -184,6 +192,41 @@ def _stream(arcs, latency, rate, size, slot):
     return out
 
 
+def _reduce_broadcast(g, pivot, trees, rate, size, slot, head):
+    """Trace a reduce up every tree, a barrier, then a broadcast down.
+
+    ``trees`` holds one ``(detail, up)`` per tree, ``up`` its arcs
+    ``(a, b, name)`` in feeding order toward ``pivot``.  Once the last
+    reduce has arrived, each tree streams its reversed arcs in reverse
+    order.  Every arc carries ``size`` coordinates, timed by
+    :func:`_stream` with ``rate`` and ``slot``.  A flow is named
+    ``<phase>/<name>``; its detail is the tree's ``detail``, with
+    ``head`` added on reduce flows into the pivot.
+    """
+    events = []
+    carried = {}  # directed link -> coordinates
+    offset = done = 0.0
+    for phase in ("reduce", "broadcast"):
+        for detail, up in trees:
+            into = f"{detail};{head}" if head else detail
+            arcs = up if phase == "reduce" else \
+                [(b, a, name) for a, b, name in reversed(up)]
+            timing = _stream([(a, b) for a, b, _ in arcs], g.latency, rate,
+                             size, slot)
+            for (a, b, name), (start, finish, r) in zip(arcs, timing):
+                carried[(a, b)] = carried.get((a, b), 0.0) + size
+                events.append(TraceEvent(
+                    offset + finish, "flow_done", b, (a, b),
+                    f"{phase}/{name}",
+                    into if phase == "reduce" and b == pivot else detail,
+                    r, offset + start))
+                done = max(done, offset + finish)
+        events.append(TraceEvent(done, "phase_done", pivot, None, "",
+                                 f"phase={phase}"))
+        offset = done
+    return _finish_trace(events, _utilization(carried, g, done))
+
+
 def run_allreduce(g: WeightedGraph, packing: TreePacking, d, mode="streamed"):
     """Execute an AllReduce schedule over packed trees and trace it.
 
@@ -212,66 +255,27 @@ def run_allreduce(g: WeightedGraph, packing: TreePacking, d, mode="streamed"):
 
     p = packing.p
     if p == 0:
-        schedule = SimSchedule(packing.pivot, 0, (), ())
-        return _finish_trace([], {}), schedule
+        return _finish_trace([], {}), SimSchedule(packing.pivot, 0, (), ())
 
     block = math.ceil(d / p)
-    slot = 1.0 if mode == "streamed" else block
-    unit = dict.fromkeys(g.bandwidth, mg.unit_rate)
-    schedule = SimSchedule(packing.pivot, block, tuple(range(p)),
-                           ("reduce", "broadcast"))
-    contributors = len(packing.terminals)
-
-    events = []
-    carried = {}  # directed physical edge -> coordinates
-
-    def flow(time, a, b, fid, detail):
-        carried[_edge_str(a, b)] = carried.get(_edge_str(a, b), 0.0) + block
-        events.append(TraceEvent(time, "flow_done", b, _edge_str(a, b), fid,
-                                 detail))
-
-    reduce_done = 0.0
-    cascades = []
-    for ti, tree in enumerate(packing.trees):
-        up = orient_to_pivot(tree, packing.pivot)[::-1]
-        cascades.append(up)
-        timing = _stream([(a, b) for a, b, _ in up], g.latency, unit, block,
-                         slot)
-        for (a, b, inst), (start, finish, rate) in zip(up, timing):
-            head = (f"size={block};contrib={contributors};"
-                    if b == packing.pivot else "")
-            flow(finish, a, b, f"reduce/t{ti}/{inst[0]}-{inst[1]}#{inst[2]}",
-                 f"block={ti};{head}rate={rate:.17g};start={start:.17g}")
-            reduce_done = max(reduce_done, finish)
-    events.append(TraceEvent(reduce_done, "phase_done", packing.pivot, "",
-                             "", "phase=reduce"))
-
-    completion = reduce_done
-    for ti, up in enumerate(cascades):
-        down = [(b, a, inst) for a, b, inst in reversed(up)]
-        timing = _stream([(a, b) for a, b, _ in down], g.latency, unit,
-                         block, slot)
-        for (a, b, inst), (start, finish, rate) in zip(down, timing):
-            flow(reduce_done + finish, a, b,
-                 f"broadcast/t{ti}/{inst[0]}-{inst[1]}#{inst[2]}",
-                 f"block={ti};rate={rate:.17g};"
-                 f"start={reduce_done + start:.17g}")
-            completion = max(completion, reduce_done + finish)
-    events.append(TraceEvent(completion, "phase_done", packing.pivot, "",
-                             "", "phase=broadcast"))
-
-    util = _utilization(carried, g, completion)
-    return _finish_trace(events, util), schedule
+    trees = [(f"block={ti}",
+              [(a, b, f"t{ti}/{u}-{v}#{c}") for a, b, (u, v, c)
+               in reversed(orient_to_pivot(tree, packing.pivot))])
+             for ti, tree in enumerate(packing.trees)]
+    trace = _reduce_broadcast(
+        g, packing.pivot, trees, dict.fromkeys(g.bandwidth, mg.unit_rate),
+        block, 1.0 if mode == "streamed" else block,
+        f"size={block};contrib={len(packing.terminals)}")
+    return trace, SimSchedule(packing.pivot, block, tuple(range(p)),
+                              ("reduce", "broadcast"))
 
 
 def _utilization(carried, g, completion):
-    if completion <= 0:
-        return {e: 0.0 for e in carried}
     util = {}
     for edge, coords in sorted(carried.items()):
-        u, v = edge.split("->")
-        b = g.bandwidth[(int(u), int(v))]
-        util[edge] = 0.0 if b == INFINITY else coords / (b * completion)
+        b = g.bandwidth[edge]
+        util[edge] = 0.0 if completion <= 0 or b == INFINITY \
+            else coords / (b * completion)
     return util
 
 
@@ -304,46 +308,18 @@ def run_naive_sync_round(g: WeightedGraph, pivot, d):
     node merges children streams coordinate-by-coordinate and forwards
     immediately, so the effective rate into any node is the minimum link
     rate below it and each hop adds one coordinate slot of startup.  The
-    broadcast mirrors the tree downward.  Completion of both phases is
-    returned in the trace; a single node completes at time zero.
+    broadcast mirrors the tree downward: the one-tree case of
+    :func:`run_allreduce`, at link bandwidth with the whole ``d`` as the
+    block.  Completion of both phases is returned in the trace; a single
+    node completes at time zero.
     """
     if pivot not in g.nodes:
         raise ValueError(f"pivot {pivot} not in graph")
     parent, order = _bfs_tree(g, pivot)
     if len(order) != len(g.nodes):
         raise ValueError("graph is disconnected")
-    if len(g.nodes) == 1:
-        return _finish_trace(
-            [TraceEvent(0.0, "phase_done", pivot, "", "", "phase=reduce"),
-             TraceEvent(0.0, "phase_done", pivot, "", "",
-                        "phase=broadcast")], {})
-
-    up = [(v, parent[v]) for v in reversed(order[1:])]
-    events = []
-    carried = {}
-    for (c, v), (start, finish, r) in zip(
-            up, _stream(up, g.latency, g.bandwidth, d, 1.0)):
-        carried[_edge_str(c, v)] = d
-        events.append(TraceEvent(
-            finish, "flow_done", v, _edge_str(c, v), f"reduce/{c}-{v}",
-            f"rate={r:.17g};start={start:.17g}"))
-    reduce_done = max(e.time for e in events)
-    events.append(TraceEvent(reduce_done, "phase_done", pivot, "", "",
-                             "phase=reduce"))
-
-    completion = reduce_done
-    down = [(v, c) for c, v in reversed(up)]
-    for (v, c), (start, finish, r) in zip(
-            down, _stream(down, g.latency, g.bandwidth, d, 1.0)):
-        carried[_edge_str(v, c)] = d
-        events.append(TraceEvent(
-            reduce_done + finish, "flow_done", c, _edge_str(v, c),
-            f"broadcast/{v}-{c}",
-            f"rate={r:.17g};start={reduce_done + start:.17g}"))
-        completion = max(completion, reduce_done + finish)
-    events.append(TraceEvent(completion, "phase_done", pivot, "", "",
-                             "phase=broadcast"))
-    return _finish_trace(events, _utilization(carried, g, completion))
+    up = [(c, parent[c], f"{c}-{parent[c]}") for c in reversed(order[1:])]
+    return _reduce_broadcast(g, pivot, [("", up)], g.bandwidth, d, 1.0, "")
 
 
 # == Contending point-to-point transfers ==
@@ -430,7 +406,7 @@ def run_separate_transfers(g: WeightedGraph, sources, dest, d):
             {fid: flows[fid] for fid in remaining}, g.bandwidth)
         for fid in sorted(remaining):
             events.append(TraceEvent(
-                t, "rate_change", "", "", fid, f"rate={rates[fid]:.17g}"))
+                t, "rate_change", "", None, fid, "", rates[fid]))
         span = min(remaining[fid] / rates[fid] for fid in remaining)
         t += span
         finished = [fid for fid in sorted(remaining)
@@ -440,17 +416,15 @@ def run_separate_transfers(g: WeightedGraph, sources, dest, d):
             moved = rates[fid] * span
             remaining[fid] -= moved
             for e in flows[fid]:
-                carried[_edge_str(*e)] = carried.get(_edge_str(*e), 0.0) \
-                    + moved
+                carried[e] = carried.get(e, 0.0) + moved
         for fid in finished:
+            last = flows[fid][-1] if flows[fid] else None
             events.append(TraceEvent(
-                t, "flow_done", flows[fid][-1][1] if flows[fid] else dest,
-                _edge_str(*flows[fid][-1]) if flows[fid] else "", fid,
-                "delivered"))
+                t, "flow_done", dest, last, fid, "delivered"))
             del remaining[fid]
         if not finished:
             raise AssertionError("no progress in transfer loop")
-    events.append(TraceEvent(t, "phase_done", dest, "", "",
+    events.append(TraceEvent(t, "phase_done", dest, None, "",
                              "phase=transfers"))
     return _finish_trace(events, _utilization(carried, g, t))
 
@@ -458,27 +432,20 @@ def run_separate_transfers(g: WeightedGraph, sources, dest, d):
 def audit_capacity(trace: SimTrace, g: WeightedGraph):
     """Re-check the capacity invariant from a trace's flow events.
 
-    Reconstructs each flow's (start, finish, rate, edge) from the recorded
-    details and integrates per-directed-edge rate over time; returns the
-    worst ratio of aggregate rate to capacity (≤ 1 + 1e-9 when the run
-    respected the fluid constraints).
+    Takes each streamed flow's (start, finish, rate) on its directed
+    link from the ``flow_done`` events that carry a rate and a start, and
+    integrates the rate per link over time; returns the worst ratio of
+    aggregate rate to capacity (≤ 1 + 1e-9 when the run respected the
+    fluid constraints).
     """
     intervals = {}
     for ev in trace.events:
-        if ev.event_kind != "flow_done" or not ev.edge:
-            continue
-        fields = dict(kv.split("=") for kv in ev.detail.split(";")
-                      if "=" in kv)
-        if "rate" not in fields or "start" not in fields:
-            continue
-        rate = float(fields["rate"])
-        start = float(fields["start"])
-        intervals.setdefault(ev.edge, []).append((start, ev.time, rate))
+        if ev.event_kind == "flow_done" and ev.start is not None:
+            intervals.setdefault(ev.edge, []).append(
+                (ev.start, ev.time, ev.rate))
     worst = 0.0
     for edge, ivs in intervals.items():
-        u, v = edge.split("->")
-        key = (int(u), int(v))
-        cap = g.bandwidth[key]
+        cap = g.bandwidth[edge]
         if cap == INFINITY:
             continue
         times = sorted({t for iv in ivs for t in iv[:2]})

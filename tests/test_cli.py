@@ -166,6 +166,51 @@ def test_plan_packs_trees_when_cooperation_wins(tmp_path):
     assert sched["predicted_seconds"] == pytest.approx(10.0)
 
 
+def test_single_worker_plan_removes_a_stale_schedule(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    assert main(["plan", "--gen", "star:5:b=4", "--d", "20",
+                 "--out", out]) == 0
+    assert os.path.exists(os.path.join(out, "schedule.json"))
+    assert main(["plan", "--gen", "star:5:b=4", "--d", "1e9",
+                 "--out", out]) == 0
+    packing = json.loads((tmp_path / "x" / "packing.json").read_text())
+    assert packing["p"] == 0 and "single-worker" in packing["notice"]
+    assert not os.path.exists(os.path.join(out, "schedule.json"))
+
+
+def test_plan_on_infinite_links_is_free(tmp_path, capsys):
+    # no finite link to scale a multigraph by: nothing to pack or time
+    out = tmp_path / "free"
+    (out / "schedule.json").parent.mkdir()
+    (out / "schedule.json").write_text("{}")
+    assert main(["plan", "--gen", "clusters:4x2:b_slow=inf", "--d", "100",
+                 "--out", str(out)]) == 0
+    sel = json.loads((out / "selection.json").read_text())
+    assert len(sel["chosen"]["subset"]) == 4
+    packing = json.loads((out / "packing.json").read_text())
+    assert packing == {"p": 0,
+                       "notice": "all links are infinite: no trees needed"}
+    assert not (out / "schedule.json").exists()
+    assert "communication is free" in capsys.readouterr().out
+
+
+def test_plan_builds_one_unit_multigraph(tmp_path, monkeypatch):
+    # the packing and the AllReduce share the proxy's cached multigraph
+    builds = []
+    build = flowsgd.graph_core._build_unit_multigraph
+
+    def counted(und):
+        builds.append(und)
+        return build(und)
+
+    monkeypatch.setattr(flowsgd.graph_core, "_build_unit_multigraph",
+                        counted)
+    assert main(["plan", "--gen", "clusters:40x4:b_slow=0.1", "--d", "1000",
+                 "--sigma2", "1000", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "schedule.json").exists()
+    assert len(builds) == 1
+
+
 def test_plan_store_forward_pays_a_block_per_hop(tmp_path, capsys):
     # ring:6 packs two 5-hop paths, each carrying a 500-coordinate block
     predicted = {}
@@ -355,6 +400,22 @@ def test_problem_scalars_must_be_finite(tmp_path, capsys, flag, value):
     captured = capsys.readouterr()
     assert "must be finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "experiment"])
+@pytest.mark.parametrize("d", ["0", "0.5"])
+def test_vector_size_must_be_a_whole_number(tmp_path, capsys, command, d):
+    # rejected before any work: a vector has a whole number of coordinates
+    assert main([command, "--gen", "star:5:b=4", "--d", d,
+                 "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "--d must be a whole number" in captured.err
+    assert captured.out == ""
+
+
+def test_analyze_accepts_a_zero_vector_size(tmp_path):
+    assert main(["analyze", "--gen", "star:5:b=4", "--d", "0",
+                 "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("cap", ["0", "-1", "nan"])

@@ -183,6 +183,15 @@ def test_unit_multigraph_thirds_and_sevenths():
     assert mg.multiplicity == {(1, 2): 7, (2, 3): 3}
 
 
+def test_unit_multigraph_is_built_once_per_graph(five_node):
+    mg = unit_multigraph(five_node)
+    assert unit_multigraph(five_node) is mg
+    # an undirected view is not cached: each call builds a new multigraph
+    und = five_node.undirected()
+    assert unit_multigraph(und) == mg
+    assert unit_multigraph(und) is not unit_multigraph(und)
+
+
 def test_unit_multigraph_rejects_infinite():
     g = build_graph({"nodes": [{"id": 1, "h": 1}, {"id": 2, "h": 1}],
                      "links": [{"a": 1, "b": 2, "bandwidth": "inf"}]})

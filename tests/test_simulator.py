@@ -5,12 +5,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flowsgd import (INFINITY, ProblemParams, SimTimeoutError, SteinerTree,
-                     TreePacking, audit_capacity, batch_collection_bound,
-                     build_graph, leon_stop_rule, pack_steiner_trees,
-                     run_allreduce, run_gradient_computation,
-                     run_naive_sync_round, run_separate_transfers,
-                     shared_edge_rates, unit_multigraph)
+from flowsgd import (INFINITY, ProblemParams, SimTimeoutError, SimTrace,
+                     SteinerTree, TraceEvent, TreePacking, audit_capacity,
+                     batch_collection_bound, build_graph, leon_stop_rule,
+                     pack_steiner_trees, run_allreduce,
+                     run_gradient_computation, run_naive_sync_round,
+                     run_separate_transfers, shared_edge_rates,
+                     unit_multigraph)
 from flowsgd import topologies
 
 import oracles
@@ -332,7 +333,7 @@ def test_transfers_record_rate_changes(line_graph):
     kinds = {e.event_kind for e in trace.events}
     assert "rate_change" in kinds and "flow_done" in kinds
     # all four vectors cross the final link, which is then fully busy
-    assert trace.utilization["4->5"] == pytest.approx(1.0)
+    assert trace.utilization[(4, 5)] == pytest.approx(1.0)
 
 
 # == trace plumbing ==
@@ -351,3 +352,33 @@ def test_completion_time_is_max_event_time(five_node, line_graph):
     for trace in (run_naive_sync_round(five_node, 4, 100),
                   run_separate_transfers(line_graph, (1, 3), 5, 50)):
         assert trace.completion_time == max(e.time for e in trace.events)
+
+
+def test_audit_catches_two_full_rate_flows_on_one_link(line_graph):
+    # both streams use all of the unit link 1->2 while they overlap
+    trace = SimTrace((
+        TraceEvent(2.0, "flow_done", 2, (1, 2), "a", "", 1.0, 0.0),
+        TraceEvent(3.0, "flow_done", 2, (1, 2), "b", "", 1.0, 1.0),
+    ), 3.0, {})
+    assert audit_capacity(trace, line_graph) == 2.0
+
+
+def test_allreduce_csv_text():
+    # the typed fields turn into the same text: u->v edges, .17g numbers
+    g = build_graph({
+        "nodes": [{"id": 1, "h": 1.0}, {"id": 2, "h": 1.0}],
+        "links": [{"a": 1, "b": 2, "bandwidth": 1 / 3, "latency": 0.1}]})
+    tree = SteinerTree(((1, 2, 0),))
+    trace, _ = run_allreduce(g, TreePacking((tree,), (1, 2), 2, 1), 2)
+    assert trace.csv_bytes().decode() == (
+        "time,event_kind,node,edge,flow_id,detail\n"
+        "6.1,flow_done,2,1->2,reduce/t0/1-2#0,block=0;size=2;contrib=2;"
+        "rate=0.33333333333333331;start=0\n"
+        "6.1,phase_done,2,,,phase=reduce\n"
+        "12.2,flow_done,1,2->1,broadcast/t0/1-2#0,block=0;"
+        "rate=0.33333333333333331;start=6.0999999999999996\n"
+        "12.2,phase_done,2,,,phase=broadcast\n")
+    assert trace.events[0].edge == (1, 2)
+    assert trace.events[0].rate == 1 / 3 and trace.events[0].start == 0.0
+    assert trace.utilization == {(1, 2): 2 / (1 / 3 * 12.2),
+                                 (2, 1): 2 / (1 / 3 * 12.2)}
