@@ -8,7 +8,8 @@ same arguments reproduces the output files byte for byte.
 
 Exit codes: 0 on success, 1 on domain errors (invalid graph, packing or
 training failures), 2 on usage and I/O errors (unreadable files, bad
-``--gen`` strings, malformed JSON).
+``--gen`` strings, malformed JSON, out-of-range training flags).  A
+command that fails its argument checks writes nothing.
 """
 
 from __future__ import annotations
@@ -66,9 +67,24 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise UsageError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise UsageError(f"--seed/--seeds must be nonnegative, got "
+                             f"{min(self.seeds)}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise UsageError(f"--seeds repeats a seed: {list(self.seeds)}")
         bad = [m for m in self.methods if m not in METHODS]
         if bad:
             raise UsageError(f"unknown methods: {bad}; pick from {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise UsageError("--methods repeats a method: "
+                             f"{','.join(self.methods)}")
+        if self.max_iters < 0:
+            raise UsageError(f"--max-iters must be nonnegative, got "
+                             f"{self.max_iters}")
+        if self.target_grad_sq is not None \
+                and not 0 < self.target_grad_sq < INFINITY:
+            raise UsageError("--target-grad-sq must be finite and positive, "
+                             f"got {self.target_grad_sq:g}")
         if not self.max_sim_seconds > 0:
             raise UsageError("--max-sim-seconds must be positive, got "
                              f"{self.max_sim_seconds:g}")
@@ -141,7 +157,6 @@ def _load_graph(args):
 
 def _config(args, methods, seeds):
     out = args.out or os.environ.get(OUT_ENV) or "."
-    os.makedirs(out, exist_ok=True)
     cap = getattr(args, "max_sim_seconds", None)
     cfg = ExperimentConfig(
         graph=_load_graph(args),
@@ -162,6 +177,7 @@ def _config(args, methods, seeds):
     d = cfg.params.d
     if args.command != "analyze" and not (d >= 1 and d.is_integer()):
         raise ValueError(f"--d must be a whole number >= 1, got {d:g}")
+    os.makedirs(out, exist_ok=True)
     return cfg
 
 
@@ -343,7 +359,6 @@ def _objectives_for(method, cfg, seed):
 
 def _run_cell(cfg, method, seed):
     objs = _objectives_for(method, cfg, seed)
-    first = objs[0] if isinstance(objs, tuple) else objs
     oracle = StochasticOracle(objs, cfg.params.sigma2, seed=seed)
     kw = {"target_grad_sq": cfg.target_grad_sq}
     if method == "grace":
@@ -356,7 +371,7 @@ def _run_cell(cfg, method, seed):
         trace = sync_sgd(cfg.graph, objs, oracle, cfg.params,
                          cfg.max_iters, **kw)
     else:
-        trace = hero_sgd(first, oracle, cfg.params, cfg.max_iters,
+        trace = hero_sgd(objs, oracle, cfg.params, cfg.max_iters,
                          cfg.graph.h, **kw)
     if trace.final_time() > cfg.max_sim_seconds:
         raise ValueError(

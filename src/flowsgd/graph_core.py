@@ -96,6 +96,12 @@ class WeightedGraph:
         return _build_unit_multigraph(self.undirected())
 
     @cached_property
+    def _schedules(self):
+        # training schedules, keyed by what each was planned from
+        # (``optimizers._planned``)
+        return {}
+
+    @cached_property
     def _finite_proxy(self):
         finite = [b for b in self.bandwidth.values() if math.isfinite(b)]
         if len(finite) == len(self.bandwidth):
@@ -126,13 +132,6 @@ class UndirectedView:
     nodes: tuple
     weight: dict
     latency: dict
-
-    def adjacency(self):
-        adj = {v: [] for v in self.nodes}
-        for (u, v), w in self.weight.items():
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
 
 
 @dataclass(frozen=True)
@@ -577,16 +576,6 @@ class UnitMultigraph:
     def unit_rate(self):
         return 1.0 / self.scale
 
-    def instances(self):
-        """All edge instances as (u, v, copy) triples, sorted."""
-        out = []
-        for (u, v), m in sorted(self.multiplicity.items()):
-            out.extend((u, v, c) for c in range(m))
-        return out
-
-    def total_edges(self):
-        return sum(self.multiplicity.values())
-
 
 def unit_multigraph(g):
     """Smallest integer rescaling that makes every bandwidth integral.
@@ -666,7 +655,7 @@ def leaf_branch_peeling(adjacency):
     — is at most ``floor(log2(n + 2))``.
 
     ``adjacency`` maps each vertex to its neighbors; vertices may be any
-    hashable values (the subset search feeds node-sets through this).
+    hashable values.
     Returns ``(layers, depth)``.
     """
     adj = {v: set(ns) for v, ns in adjacency.items()}

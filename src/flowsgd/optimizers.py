@@ -3,9 +3,9 @@
 The optimization arithmetic is exact (numpy vectors, seeded noise); the
 *clock* comes from the simulator: batch collection is an event walk over
 worker compute times, and communication rounds are timed by the
-streaming model.  Because the timing model is deterministic, the
-per-iteration collection and AllReduce times are computed once per run
-and reused — only the gradient draws differ across iterations.
+streaming model.  The timing model is deterministic, so each method's
+per-iteration counts and times form a schedule, made once per graph and
+reused by every seed; one loop runs every method from its schedule.
 
 Noise is additive isotropic Gaussian with variance σ²/d per coordinate
 and per gradient.  Every method's step sees its batch's noises only
@@ -50,10 +50,11 @@ class Objective:
 
 
 _FSTAR_CACHE = {}
+_REG = 1e-3  # weight of synthetic_logreg's ℓ2 term
 
 
 def make_objective(kind, d, n_components=1, seed=0, L=1.0, delta=1.0,
-                   n_samples=None, reg=1e-3):
+                   n_samples=None):
     """Build a synthetic objective (or component list) for experiments.
 
     ``quadratic``: f(x) = (L/2)‖x−x★‖² with the start placed so the gap
@@ -62,10 +63,10 @@ def make_objective(kind, d, n_components=1, seed=0, L=1.0, delta=1.0,
     averaged function, and a tuple of components is returned.
 
     ``synthetic_logreg``: seeded Gaussian features with ±1 labels and an
-    ℓ2 term; L comes from the design's spectral norm; f* is found by a
-    long deterministic gradient-descent run and cached per (d, samples,
-    seed).  Several components partition the sample rows, so their
-    average is exactly the full-data objective.
+    ℓ2 term of weight 1e-3; L comes from the design's spectral norm; f*
+    is found by a long deterministic gradient-descent run and cached per
+    (d, samples, seed).  Several components partition the sample rows,
+    so their average is exactly the full-data objective.
     """
     if kind == "quadratic":
         rng = np.random.default_rng(seed)
@@ -100,17 +101,17 @@ def make_objective(kind, d, n_components=1, seed=0, L=1.0, delta=1.0,
 
         def block_objective(rows):
             Ab, yb = A[rows], y[rows]
-            Lb = (np.linalg.norm(Ab, 2) ** 2) / (4.0 * len(rows)) + reg
+            Lb = (np.linalg.norm(Ab, 2) ** 2) / (4.0 * len(rows)) + _REG
 
             def f(x, Ab=Ab, yb=yb):
                 z = -yb * (Ab @ x)
                 return float(np.mean(np.logaddexp(0.0, z))
-                             + 0.5 * reg * np.dot(x, x))
+                             + 0.5 * _REG * np.dot(x, x))
 
             def grad(x, Ab=Ab, yb=yb):
                 z = -yb * (Ab @ x)
                 s = 1.0 / (1.0 + np.exp(-z))
-                return (Ab.T @ (-yb * s)) / len(yb) + reg * x
+                return (Ab.T @ (-yb * s)) / len(yb) + _REG * x
 
             x0 = np.zeros(d)
             key = ("logreg", d, m, seed, tuple(rows[:1]), len(rows))
@@ -144,7 +145,7 @@ class StochasticOracle:
     ``objectives`` is one Objective (homogeneous) or a sequence of
     per-worker components whose uniform average is the target.  A single
     gradient carries N(0, σ²/d) noise per coordinate, so E‖g−∇f‖² = σ².
-    The training loops draw each iteration's summed noise as one vector
+    The training loop draws each iteration's summed noise as one vector
     keyed by (seed, iteration); :meth:`gradient_sum` draws one keyed by
     (seed, worker, iteration).  Both come from counter-based generators,
     so traces are reproducible regardless of execution order.
@@ -161,18 +162,13 @@ class StochasticOracle:
         self.sigma2 = float(sigma2)
         self.seed = seed
 
-    @property
-    def mode(self):
-        return "homogeneous" if len(self.components) == 1 \
-            else "heterogeneous"
-
     def _draw(self, key, weight, d):
         """Summed noise N(0, weight·σ²/d) per coordinate, or 0.0 if none.
 
         ``weight`` is the sum of the squared coefficients put on the
         single-gradient noises: B for a sum of B gradients, Σ_w 1/(n²·B_w)
         for leon's mean of per-worker means.  The vector comes from the
-        Philox stream of (seed, *key): the training loops key it by
+        Philox stream of (seed, *key): the training loop keys it by
         iteration, so methods with equal weights draw the same vector.
         """
         if self.sigma2 == 0 or weight == 0:
@@ -190,13 +186,6 @@ class StochasticOracle:
         obj = self.components[component]
         return count * obj.grad(x) + self._draw((worker, iteration), count,
                                                 obj.d)
-
-    def mean_value(self, x):
-        return sum(o.f(x) for o in self.components) / len(self.components)
-
-    def mean_gradient(self, x):
-        g = sum(o.grad(x) for o in self.components)
-        return g / len(self.components)
 
 
 @dataclass(frozen=True)
@@ -254,9 +243,7 @@ def _all_infinite_bandwidth(g):
 
 def _allreduce_seconds(g, terminals, d, mode):
     """Simulated time of one AllReduce among ``terminals`` (0 if alone)."""
-    if len(terminals) < 2 or d == 0:
-        return 0.0
-    if _all_infinite_bandwidth(g):
+    if len(terminals) < 2 or d == 0 or _all_infinite_bandwidth(g):
         return 0.0
     g = finite_bandwidth_proxy(g)
     mg = unit_multigraph(g)
@@ -265,58 +252,89 @@ def _allreduce_seconds(g, terminals, d, mode):
     return trace.completion_time
 
 
-def _loop(point, steps, max_iters, target_grad_sq):
-    """Shared iteration driver: steps() advances x and returns the cost.
-
-    ``point()`` gives (f, ∇f) at the current x, once per iterate; the
-    row records ‖∇f‖² and ``steps(k, grad)`` reuses that gradient.  Rows
-    follow the trace schema.  Returns ``(rows, status, comm_total)``.
+@dataclass(frozen=True)
+class _Schedule:
+    """One iteration of a method, the same for every seed: gradients per
+    worker, compute and communication seconds, and the step's ``c`` and
+    ``w`` (see :func:`_sgd`).
     """
-    f0, grad = point()
-    rows = [(0, 0.0, float(np.dot(grad, grad)), f0, 0)]
-    t = 0.0
+
+    counts: dict
+    compute: float
+    comm: float
+    c: float
+    w: float
+
+
+def _minibatch(counts, compute, comm):
+    """Step with the batch's gradient sum: c = w = B = ΣB_w."""
+    total = sum(counts.values())
+    return _Schedule(counts, compute, comm, total, total)
+
+
+def _planned(plan, g, *args):
+    """``plan(g, *args)``, made once per graph and arguments.
+
+    ``args`` hold everything the plan reads besides ``g``; no plan reads
+    the seed.  The cache lives on the graph and goes with it.
+    """
+    cache = g._schedules
+    key = (plan, *args)
+    if key not in cache:
+        cache[key] = plan(g, *args)
+    return cache[key]
+
+
+def _sgd(method, objectives, oracle, schedule, max_iters, gamma,
+         target_grad_sq):
+    """The training loop of every method.
+
+    Each iteration steps x ← x − (γ/c)·(c·∇F(x) + N(0, w·σ²/d)), with F
+    the mean of ``objectives``, c and w from the schedule, and the noise
+    one vector keyed by (seed, iteration); γ defaults to 1/(2·max L).
+    Each iterate's gradient is computed once: its row records ‖∇F‖² and
+    the next step reuses it.
+    """
+    n, d = len(objectives), objectives[0].d
+    if gamma is None:
+        gamma = 1.0 / (2.0 * max(o.L for o in objectives))
+    c, w = schedule.c, schedule.w
+    batch = sum(schedule.counts.values())
+
+    def point(x):
+        return (sum(o.f(x) for o in objectives) / n,
+                sum(o.grad(x) for o in objectives) / n)
+
+    x = objectives[0].x0.copy()
+    fv, grad = point(x)
+    rows = [(0, 0.0, float(np.dot(grad, grad)), fv, 0)]
+    t = comm_total = 0.0
     status = "max_iters"
-    comm_total = 0.0
     for k in range(1, max_iters + 1):
-        elapsed, comm, batch = steps(k, grad)
-        t += elapsed + comm
-        comm_total += comm
-        fv, grad = point()
+        x = x - (gamma / c) * (c * grad + oracle._draw((k,), w, d))
+        t += schedule.compute + schedule.comm
+        comm_total += schedule.comm
+        fv, grad = point(x)
         gsq = float(np.dot(grad, grad))
         rows.append((k, t, gsq, fv, batch))
         if target_grad_sq is not None and gsq <= target_grad_sq:
             status = "reached_target"
             break
-    return rows, status, comm_total
-
-
-def _minibatch_sgd(method, objective, oracle, batch, elapsed, comm,
-                   max_iters, gamma, target_grad_sq):
-    """Shared grace/sync/hero run: one objective, a fixed batch per worker.
-
-    ``batch`` maps each worker to its gradients per iteration.  Every
-    iteration steps with γ/B times the batch's gradient sum, B·∇f(x) plus
-    one N(0, B·σ²/d) draw, where B = ΣB_w; γ defaults to 1/(2L).
-    ``elapsed`` and ``comm`` are the per-iteration compute and
-    communication seconds.
-    """
-    gamma = 1.0 / (2.0 * objective.L) if gamma is None else gamma
-    total_batch = sum(batch.values())
-    x = objective.x0.copy()
-
-    def point():
-        return objective.f(x), objective.grad(x)
-
-    def step(k, grad):
-        nonlocal x
-        total = total_batch * grad + oracle._draw(
-            (k,), total_batch, objective.d)
-        x = x - (gamma / total_batch) * total
-        return elapsed, comm, total_batch
-
-    rows, status, comm_total = _loop(point, step, max_iters,
-                                     target_grad_sq)
     return TrainingTrace(method, tuple(rows), status, comm_total)
+
+
+def _grace_schedule(g, params, d, mode, subset):
+    if subset is None:
+        choice, _ = find_fastest_subset(g, params)
+        subset = choice.subset
+    workers = sorted(i for i in subset if math.isfinite(g.h[i]))
+    if not workers:
+        raise ValueError("subset has no computing node")
+    target = grace_target_batch(params)
+    counts, elapsed = run_gradient_computation(
+        workers, g.h, lambda c: sum(c.values()) >= target)
+    return _minibatch(counts, elapsed,
+                      _allreduce_seconds(g, workers, d, mode))
 
 
 def grace_sgd(g: WeightedGraph, objective: Objective,
@@ -334,18 +352,21 @@ def grace_sgd(g: WeightedGraph, objective: Objective,
     ``mode`` is the AllReduce block handling, ``"streamed"`` or
     ``"store_forward"`` (see :func:`flowsgd.simulator.run_allreduce`).
     """
-    if subset is None:
-        choice, _ = find_fastest_subset(g, params)
-        subset = choice.subset
-    workers = sorted(i for i in subset if math.isfinite(g.h[i]))
-    if not workers:
-        raise ValueError("subset has no computing node")
-    target = grace_target_batch(params)
+    schedule = _planned(_grace_schedule, g, params, objective.d, mode,
+                        None if subset is None else frozenset(subset))
+    return _sgd("grace", (objective,), oracle, schedule, max_iters, gamma,
+                target_grad_sq)
+
+
+def _leon_schedule(g, params, d, mode):
+    workers = sorted(g.workers())
+    n = len(workers)
     counts, elapsed = run_gradient_computation(
-        workers, g.h, lambda c: sum(c.values()) >= target)
-    comm = _allreduce_seconds(g, workers, objective.d, mode)
-    return _minibatch_sgd("grace", objective, oracle, counts, elapsed, comm,
-                          max_iters, gamma, target_grad_sq)
+        workers, g.h,
+        lambda c: leon_stop_rule(tuple(c[w] for w in workers), n, params))
+    comm = _allreduce_seconds(g, workers, d, mode)
+    weight = sum(1.0 / counts[w] for w in workers) / (n * n)
+    return _Schedule(counts, elapsed, comm, 1, weight)
 
 
 def leon_sgd(g: WeightedGraph, objectives, oracle: StochasticOracle,
@@ -357,67 +378,45 @@ def leon_sgd(g: WeightedGraph, objectives, oracle: StochasticOracle,
     rule fires, then the batch-averaged gradients are averaged again
     across workers and exchanged over trees spanning all workers.  That
     mean of means is (1/n)·Σ_c ∇f_c(x) plus its noise, drawn as one
-    N(0, (σ²/d)·Σ_w 1/(n²·B_w)) vector per iteration.
+    N(0, (σ²/d)·Σ_w 1/(n²·B_w)) vector per iteration.  γ defaults to
+    1/(2·max L).
     ``mode`` is the AllReduce block handling, ``"streamed"`` or
     ``"store_forward"``, as in :func:`grace_sgd`.
     """
-    workers = sorted(g.workers())
-    n = len(workers)
+    n = len(g.workers())
     components = tuple(objectives) if not isinstance(objectives, Objective) \
         else (objectives,)
     if len(components) != n:
         raise ValueError(f"need one component per worker "
                          f"({n} workers, {len(components)} components)")
-    L = max(o.L for o in components)
-    gamma = 1.0 / (2.0 * L) if gamma is None else gamma
-    d = components[0].d
+    schedule = _planned(_leon_schedule, g, params, components[0].d, mode)
+    return _sgd("leon", components, oracle, schedule, max_iters, gamma,
+                target_grad_sq)
 
-    counts, elapsed = run_gradient_computation(
-        workers, g.h,
-        lambda c: leon_stop_rule(tuple(c[w] for w in workers), n, params))
-    comm = _allreduce_seconds(g, workers, d, mode)
-    total_batch = sum(counts.values())
-    weight = sum(1.0 / counts[w] for w in workers) / (n * n)
 
-    x = components[0].x0.copy()
-
-    def point():
-        return (sum(o.f(x) for o in components) / n,
-                sum(o.grad(x) for o in components) / n)
-
-    def step(k, grad):
-        nonlocal x
-        mean = grad + oracle._draw((k,), weight, d)
-        x = x - gamma * mean
-        return elapsed, comm, total_batch
-
-    rows, status, comm_total = _loop(point, step, max_iters,
-                                     target_grad_sq)
-    return TrainingTrace("leon", tuple(rows), status, comm_total)
+def _sync_schedule(g, d):
+    workers = sorted(g.workers())
+    if not workers:
+        raise ValueError("no computing node")
+    _, elapsed = run_gradient_computation(workers, g.h,
+                                          lambda c: all(c.values()))
+    comm = run_naive_sync_round(g, workers[0], d).completion_time \
+        if len(g.nodes) > 1 and not _all_infinite_bandwidth(g) else 0.0
+    return _minibatch(dict.fromkeys(workers, 1), elapsed, comm)
 
 
 def sync_sgd(g: WeightedGraph, objective: Objective,
              oracle: StochasticOracle, params: ProblemParams,
-             max_iters, gamma=None, batch_size=1, target_grad_sq=None):
+             max_iters, gamma=None, target_grad_sq=None):
     """Lock-step baseline: everyone computes, one naive round per step.
 
-    Each worker contributes ``batch_size`` gradients (so an iteration
-    costs h_max·batch_size of compute), then the sum crosses a
-    hop-shortest aggregation tree to the lowest-id worker and back.
+    Each worker contributes one gradient (so an iteration costs h_max
+    of compute), then the sum crosses a hop-shortest aggregation tree to
+    the lowest-id worker and back.
     """
-    workers = sorted(g.workers())
-    if not workers:
-        raise ValueError("no computing node")
-    _, elapsed = run_gradient_computation(
-        workers, g.h, lambda c: all(c[w] >= batch_size for w in workers))
-    if len(g.nodes) > 1 and not _all_infinite_bandwidth(g):
-        comm = run_naive_sync_round(g, workers[0],
-                                    objective.d).completion_time
-    else:
-        comm = 0.0
-    return _minibatch_sgd("sync", objective, oracle,
-                          dict.fromkeys(workers, batch_size), elapsed, comm,
-                          max_iters, gamma, target_grad_sq)
+    schedule = _planned(_sync_schedule, g, objective.d)
+    return _sgd("sync", (objective,), oracle, schedule, max_iters, gamma,
+                target_grad_sq)
 
 
 def hero_sgd(objective: Objective, oracle: StochasticOracle,
@@ -430,7 +429,7 @@ def hero_sgd(objective: Objective, oracle: StochasticOracle,
     worker = min(finite, key=lambda w: (finite[w], w))
     target = grace_target_batch(params)
     counts, elapsed = run_gradient_computation(
-        [worker], {worker: finite[worker]},
-        lambda c: c[worker] >= target)
-    return _minibatch_sgd("hero", objective, oracle, counts, elapsed, 0.0,
-                          max_iters, gamma, target_grad_sq)
+        [worker], {worker: finite[worker]}, lambda c: c[worker] >= target)
+    return _sgd("hero", (objective,), oracle,
+                _minibatch(counts, elapsed, 0.0), max_iters, gamma,
+                target_grad_sq)

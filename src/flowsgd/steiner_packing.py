@@ -43,13 +43,6 @@ class SteinerTree:
             out.add(v)
         return out
 
-    def adjacency(self):
-        adj = {}
-        for u, v, _ in self.edges:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        return adj
-
 
 @dataclass(frozen=True)
 class TreePacking:

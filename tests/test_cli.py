@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import flowsgd.graph_core
+import flowsgd.optimizers
 from flowsgd import (TreePacking, SteinerTree, finite_bandwidth_proxy,
                      min_S_cut_multigraph, serialize_topology, topologies,
                      unit_multigraph, verify_packing)
@@ -269,6 +270,22 @@ def test_training_cells_share_the_proxy_tree(tmp_path, monkeypatch):
     assert len(calls) == 2 * 39
 
 
+def test_experiment_plans_each_method_once(tmp_path, monkeypatch):
+    # the schedule does not depend on the seed: grace and leon pack and
+    # time one AllReduce each, not one per seed
+    calls = []
+    for name in ("pack_steiner_trees", "run_allreduce"):
+        def counted(*args, _name=name,
+                    _fn=getattr(flowsgd.optimizers, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(flowsgd.optimizers, name, counted)
+    assert main(["experiment", "--gen", "clusters:40x4:b_slow=0.1",
+                 "--methods", "grace,leon,sync,hero", "--seeds", "0:3",
+                 "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == ["pack_steiner_trees"] * 2 + ["run_allreduce"] * 2
+
+
 def test_experiment_builds_one_generator_per_noisy_iteration(tmp_path,
                                                              monkeypatch):
     # each iteration draws its summed noise once, whatever the batch size
@@ -416,6 +433,28 @@ def test_vector_size_must_be_a_whole_number(tmp_path, capsys, command, d):
 def test_analyze_accepts_a_zero_vector_size(tmp_path):
     assert main(["analyze", "--gen", "star:5:b=4", "--d", "0",
                  "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["experiment", "--seeds", "1,-2"], "--seed/--seeds"),
+    (["simulate", "--seed", "-1"], "--seed/--seeds"),
+    (["experiment", "--seeds", "1,1"], "--seeds"),
+    (["experiment", "--methods", "grace,grace"], "--methods"),
+    (["experiment", "--max-iters", "-3"], "--max-iters"),
+    (["simulate", "--target-grad-sq", "nan"], "--target-grad-sq"),
+    (["simulate", "--target-grad-sq", "-1"], "--target-grad-sq"),
+    (["simulate", "--target-grad-sq", "0"], "--target-grad-sq"),
+    (["simulate", "--target-grad-sq", "inf"], "--target-grad-sq"),
+])
+def test_training_flags_are_checked_first(tmp_path, capsys, argv, flag):
+    # unchecked, a negative seed failed in numpy after the first cell was
+    # written, repeats listed a cell twice, and the other values ran
+    out = tmp_path / "out"
+    assert main(argv + ["--gen", "star:4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cap", ["0", "-1", "nan"])

@@ -293,6 +293,34 @@ def test_store_and_forward_costs_more_on_a_path():
     assert [r[2] for r in slow.rows] == [r[2] for r in fast.rows]
 
 
+def test_one_graph_plans_each_setting_apart():
+    # the graph caches each schedule under everything the plan reads, so
+    # reusing one graph gives the traces of a fresh graph per run
+    def make():
+        return topologies.k_clusters(6, 2, b_slow=0.5, b_fast=4.0,
+                                     h=[1.0, 2.5])
+
+    shared = make()
+    runs = [({"subset": subset, "mode": mode}, params(sigma2=sigma2), d)
+            for subset in ({1, 2, 4}, {1, 4, 5, 6})
+            for mode in ("streamed", "store_forward")
+            for sigma2 in (2.0, 0.5)
+            for d in (16, 32)]
+    runs += [({}, params(sigma2=2.0), 16), ({}, params(sigma2=2.0), 32)]
+    for kw, p, d in runs:
+        obj = quadratic(d=d)
+        oracle = StochasticOracle(obj, p.sigma2, seed=3)
+        assert grace_sgd(shared, obj, oracle, p, 4, **kw) \
+            == grace_sgd(make(), obj, oracle, p, 4, **kw)
+    for mode in ("streamed", "store_forward", "streamed"):
+        comps = quadratic(d=8, n_components=6)
+        oracle = StochasticOracle(comps, 2.0, seed=3)
+        assert leon_sgd(shared, comps, oracle, params(d=8.0, sigma2=2.0), 4,
+                        mode=mode) \
+            == leon_sgd(make(), comps, oracle, params(d=8.0, sigma2=2.0), 4,
+                        mode=mode)
+
+
 def test_target_stops_the_run_early():
     g = topologies.star(3, b=5.0)
     obj = quadratic(d=4)
