@@ -326,7 +326,7 @@ def cmd_plan(cfg):
     # the packing runs on the proxy, which is g unless g has infinite links
     proxy = finite_bandwidth_proxy(g)
     packing = pack_steiner_trees(unit_multigraph(proxy), workers,
-                                 gomory_hu_tree(proxy))
+                                 gomory_hu_tree(proxy), d=int(params.d))
     _write_json(os.path.join(cfg.out_dir, "packing.json"), packing.to_dict())
     sim, schedule = run_allreduce(proxy, packing, int(params.d),
                                   mode=cfg.comm_mode)
@@ -494,11 +494,15 @@ def build_parser():
 
 
 def _parse_seeds(text):
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        seeds = tuple(range(int(lo), int(hi)))
-    else:
-        seeds = tuple(int(s) for s in text.split(",") if s)
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            seeds = tuple(range(int(lo), int(hi)))
+        else:
+            seeds = tuple(int(s) for s in text.split(",") if s)
+    except ValueError:
+        raise UsageError(f"--seeds must be integers ('0,2' or '0:3'), got "
+                         f"{text!r}") from None
     if not seeds:
         raise UsageError(f"empty seed list: {text!r}")
     return seeds

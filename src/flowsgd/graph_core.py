@@ -117,12 +117,9 @@ class WeightedGraph:
     def undirected(self):
         """Collapse the directed pairs into one weighted edge per link."""
         weight = {}
-        lat = {}
         for (i, j), b in self.bandwidth.items():
-            key = (i, j) if i < j else (j, i)
-            weight[key] = b
-            lat[key] = self.latency[(i, j)]
-        return UndirectedView(self.nodes, weight, lat)
+            weight[(i, j) if i < j else (j, i)] = b
+        return UndirectedView(self.nodes, weight)
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,6 @@ class UndirectedView:
 
     nodes: tuple
     weight: dict
-    latency: dict
 
 
 @dataclass(frozen=True)

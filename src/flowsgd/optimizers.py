@@ -38,18 +38,15 @@ INFINITY = math.inf
 
 @dataclass(frozen=True)
 class Objective:
-    """A differentiable target with known smoothness and gap."""
+    """A differentiable target with known smoothness and a start."""
 
     d: int
     f: object  # x -> float
     grad: object  # x -> ndarray
     L: float
-    f_star: float
     x0: np.ndarray
-    delta: float
 
 
-_FSTAR_CACHE = {}
 _REG = 1e-3  # weight of synthetic_logreg's ℓ2 term
 
 
@@ -63,10 +60,9 @@ def make_objective(kind, d, n_components=1, seed=0, L=1.0, delta=1.0,
     averaged function, and a tuple of components is returned.
 
     ``synthetic_logreg``: seeded Gaussian features with ±1 labels and an
-    ℓ2 term of weight 1e-3; L comes from the design's spectral norm; f*
-    is found by a long deterministic gradient-descent run and cached per
-    (d, samples, seed).  Several components partition the sample rows,
-    so their average is exactly the full-data objective.
+    ℓ2 term of weight 1e-3, started at zero; L comes from the design's
+    spectral norm.  Several components partition the sample rows, so
+    their average is exactly the full-data objective.
     """
     if kind == "quadratic":
         rng = np.random.default_rng(seed)
@@ -82,8 +78,7 @@ def make_objective(kind, d, n_components=1, seed=0, L=1.0, delta=1.0,
                 d=d,
                 f=lambda x, c=c: 0.5 * L * float(np.dot(x - c, x - c)),
                 grad=lambda x, c=c: L * (x - c),
-                L=L, f_star=0.0, x0=x0,
-                delta=0.5 * L * float(np.dot(x0 - c, x0 - c)))
+                L=L, x0=x0)
 
         if n_components == 1:
             return component(centers[0])
@@ -113,13 +108,7 @@ def make_objective(kind, d, n_components=1, seed=0, L=1.0, delta=1.0,
                 s = 1.0 / (1.0 + np.exp(-z))
                 return (Ab.T @ (-yb * s)) / len(yb) + _REG * x
 
-            x0 = np.zeros(d)
-            key = ("logreg", d, m, seed, tuple(rows[:1]), len(rows))
-            if key not in _FSTAR_CACHE:
-                _FSTAR_CACHE[key] = _descend(f, grad, x0, Lb)
-            f_star = _FSTAR_CACHE[key]
-            return Objective(d=d, f=f, grad=grad, L=Lb, f_star=f_star,
-                             x0=x0, delta=f(x0) - f_star)
+            return Objective(d=d, f=f, grad=grad, L=Lb, x0=np.zeros(d))
 
         if n_components == 1:
             return block_objective(range(m))
@@ -128,15 +117,6 @@ def make_objective(kind, d, n_components=1, seed=0, L=1.0, delta=1.0,
                      for c in range(n_components))
 
     raise ValueError(f"unknown objective kind {kind!r}")
-
-
-def _descend(f, grad, x0, L, steps=100_000):
-    """Plain gradient descent; returns the best value reached."""
-    x = x0.copy()
-    step = 1.0 / L
-    for _ in range(steps):
-        x -= step * grad(x)
-    return f(x)
 
 
 class StochasticOracle:
@@ -247,7 +227,8 @@ def _allreduce_seconds(g, terminals, d, mode):
         return 0.0
     g = finite_bandwidth_proxy(g)
     mg = unit_multigraph(g)
-    packing = pack_steiner_trees(mg, tuple(terminals), gomory_hu_tree(g))
+    packing = pack_steiner_trees(mg, tuple(terminals), gomory_hu_tree(g),
+                                 d=d)
     trace, _ = run_allreduce(g, packing, d, mode=mode)
     return trace.completion_time
 

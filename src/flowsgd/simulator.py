@@ -195,10 +195,11 @@ def _stream(arcs, latency, rate, size, slot):
 def _reduce_broadcast(g, pivot, trees, rate, size, slot, head):
     """Trace a reduce up every tree, a barrier, then a broadcast down.
 
-    ``trees`` holds one ``(detail, up)`` per tree, ``up`` its arcs
-    ``(a, b, name)`` in feeding order toward ``pivot``.  Once the last
-    reduce has arrived, each tree streams its reversed arcs in reverse
-    order.  Every arc carries ``size`` coordinates, timed by
+    ``trees()`` yields one ``(detail, up)`` per tree, ``up`` its arcs
+    ``(a, b, name)`` in feeding order toward ``pivot``; it is called once
+    per phase, so a tree's arcs exist only while that phase streams it.
+    Once the last reduce has arrived, each tree streams its reversed arcs
+    in reverse order.  Every arc carries ``size`` coordinates, timed by
     :func:`_stream` with ``rate`` and ``slot``.  A flow is named
     ``<phase>/<name>``; its detail is the tree's ``detail``, with
     ``head`` added on reduce flows into the pivot.
@@ -207,7 +208,7 @@ def _reduce_broadcast(g, pivot, trees, rate, size, slot, head):
     carried = {}  # directed link -> coordinates
     offset = done = 0.0
     for phase in ("reduce", "broadcast"):
-        for detail, up in trees:
+        for detail, up in trees():
             into = f"{detail};{head}" if head else detail
             arcs = up if phase == "reduce" else \
                 [(b, a, name) for a, b, name in reversed(up)]
@@ -258,10 +259,13 @@ def run_allreduce(g: WeightedGraph, packing: TreePacking, d, mode="streamed"):
         return _finish_trace([], {}), SimSchedule(packing.pivot, 0, (), ())
 
     block = math.ceil(d / p)
-    trees = [(f"block={ti}",
-              [(a, b, f"t{ti}/{u}-{v}#{c}") for a, b, (u, v, c)
-               in reversed(orient_to_pivot(tree, packing.pivot))])
-             for ti, tree in enumerate(packing.trees)]
+
+    def trees():
+        for ti, tree in enumerate(packing.trees):
+            yield f"block={ti}", [
+                (a, b, f"t{ti}/{u}-{v}#{c}") for a, b, (u, v, c)
+                in reversed(orient_to_pivot(tree, packing.pivot))]
+
     trace = _reduce_broadcast(
         g, packing.pivot, trees, dict.fromkeys(g.bandwidth, mg.unit_rate),
         block, 1.0 if mode == "streamed" else block,
@@ -319,7 +323,8 @@ def run_naive_sync_round(g: WeightedGraph, pivot, d):
     if len(order) != len(g.nodes):
         raise ValueError("graph is disconnected")
     up = [(c, parent[c], f"{c}-{parent[c]}") for c in reversed(order[1:])]
-    return _reduce_broadcast(g, pivot, [("", up)], g.bandwidth, d, 1.0, "")
+    return _reduce_broadcast(g, pivot, lambda: [("", up)], g.bandwidth, d,
+                             1.0, "")
 
 
 # == Contending point-to-point transfers ==

@@ -1,4 +1,4 @@
-"""Edge-disjoint Steiner tree packing over unit-capacity multigraphs.
+"""Steiner tree packing over unit-capacity multigraphs.
 
 The AllReduce scheduler splits the vector into p blocks and pushes each
 block through its own tree, so the packing count p is the parallelism.
@@ -6,23 +6,19 @@ block through its own tree, so the packing count p is the parallelism.
 every claimed property from scratch and reports violations instead of
 trusting the builder.
 
-Two disjointness regimes coexist:
-
-* the greedy extractor and the star/complete constructions never reuse an
-  edge instance at all;
-* the ring and 2-torus constructions exploit full-duplex links — two
-  trees may share an undirected instance when their streams traverse it
-  in opposite directions (orientation is toward the pivot within each
-  tree).  The verifier checks uniqueness of (instance, direction), which
-  is the physically binding constraint, and still caps p at the
-  undirected min S-cut: every tree must cross any pivot-separating cut
-  in the toward-pivot direction, and each instance offers that direction
-  once.
+Links are full duplex, so the binding resource is an edge instance in
+one direction: each tree is oriented toward the pivot, and two trees may
+share an instance only if they stream over it in opposite directions.
+Every tree crosses each pivot-separating cut toward the pivot, and each
+instance offers that direction once, so p never exceeds the undirected
+min S-cut.  When the subgraph S induces carries that cut, Edmonds'
+branching theorem says trees disjoint in this sense reach it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .graph_core import UndirectedView, UnitMultigraph, min_S_cut
@@ -99,7 +95,7 @@ def min_S_cut_multigraph(mg: UnitMultigraph, S):
     if len(S) < 2:
         raise ValueError("S-cut needs at least two terminals")
     weight = {key: float(m) for key, m in mg.multiplicity.items()}
-    return int(round(min_S_cut(UndirectedView(mg.nodes, weight, {}), S)))
+    return int(round(min_S_cut(UndirectedView(mg.nodes, weight), S)))
 
 
 # == Verification ==
@@ -191,62 +187,7 @@ def verify_packing(packing: TreePacking, mg: UnitMultigraph, S):
     return PackingReport(not problems, tuple(problems), packing.p, alpha)
 
 
-# == Topology recognition ==
-
-def _skeleton(mg: UnitMultigraph):
-    adj = {v: set() for v in mg.nodes}
-    for (u, v) in mg.multiplicity:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
-def _detect_star(mg):
-    adj = _skeleton(mg)
-    n = len(mg.nodes)
-    if n < 2 or len(mg.multiplicity) != n - 1:
-        return None
-    hubs = [v for v, ns in adj.items() if len(ns) == n - 1]
-    if not hubs:
-        return None
-    hub = min(hubs)
-    if all(len(adj[v]) == 1 for v in mg.nodes if v != hub):
-        return hub
-    return None
-
-
-def _detect_ring(mg):
-    adj = _skeleton(mg)
-    n = len(mg.nodes)
-    if n < 3 or len(mg.multiplicity) != n:
-        return None
-    if any(len(ns) != 2 for ns in adj.values()):
-        return None
-    # walk the cycle to confirm a single loop and recover its order
-    start = min(mg.nodes)
-    order = [start]
-    prev, cur = None, start
-    while True:
-        nxt = sorted(v for v in adj[cur] if v != prev)
-        if not nxt:
-            return None
-        step = nxt[0]
-        if step == start:
-            break
-        order.append(step)
-        prev, cur = cur, step
-    return order if len(order) == n else None
-
-
-def _detect_complete(mg):
-    n = len(mg.nodes)
-    if n < 2 or len(mg.multiplicity) != n * (n - 1) // 2:
-        return None
-    mults = set(mg.multiplicity.values())
-    if len(mults) != 1:
-        return None
-    return mults.pop()
-
+# == Trees ==
 
 def _detect_torus2d(mg):
     """Canonical row-major 2-torus: ids 1..side^2, side >= 3, uniform mult."""
@@ -272,77 +213,6 @@ def _detect_torus2d(mg):
     if set(mg.multiplicity) != expected:
         return None
     return side, mults.pop()
-
-
-# == Specialized constructions ==
-
-def _pack_star(mg, S, hub, pivot):
-    leaves = [s for s in S if s != hub]
-    copies = min(mg.multiplicity[(min(hub, v), max(hub, v))] for v in leaves)
-    trees = []
-    for c in range(copies):
-        edges = tuple(sorted((min(hub, v), max(hub, v), c) for v in leaves))
-        trees.append(SteinerTree(edges))
-    return trees
-
-
-def _pack_ring(mg, order, pivot):
-    n = len(order)
-    pos = order.index(pivot)
-    ring = order[pos:] + order[:pos]  # ring[0] == pivot
-    copies = min(mg.multiplicity.values())
-    trees = []
-    for c in range(copies):
-        # clockwise: every node forwards to its successor until the pivot
-        cw = [(ring[i], ring[(i + 1) % n]) for i in range(1, n)]
-        # counterclockwise: forward to the predecessor
-        ccw = [(ring[(i + 1) % n], ring[i]) for i in range(0, n - 1)]
-        for arcs in (cw, ccw):
-            edges = tuple(sorted(
-                (min(a, b), max(a, b), c) for a, b in arcs))
-            trees.append(SteinerTree(edges))
-    return trees
-
-
-def _pack_complete(mg, copies, pivot):
-    """Zigzag Hamiltonian-path decomposition rooted for any pivot.
-
-    For even n the n/2 zigzag paths on Z_n partition the edge set; for odd
-    n the (n-1)/2 zigzags on Z_{n-1} are closed into cycles through the
-    leftover vertex and one closing edge is dropped.  Spanning paths are
-    Steiner trees for every terminal set.
-    """
-    nodes = sorted(mg.nodes)
-    n = len(nodes)
-    trees = []
-
-    def zigzag(start, ring_size):
-        seq = [start]
-        for t in range(1, ring_size):
-            delta = (t + 1) // 2 if t % 2 else -(t // 2)
-            seq.append((start + delta) % ring_size)
-        return seq
-
-    if n % 2 == 0:
-        paths = []
-        for j in range(n // 2):
-            seq = [nodes[i] for i in zigzag(j, n)]
-            paths.append(list(zip(seq, seq[1:])))
-    else:
-        extra = nodes[-1]
-        paths = []
-        for j in range((n - 1) // 2):
-            seq = [nodes[i] for i in zigzag(j, n - 1)]
-            pairs = list(zip(seq, seq[1:]))
-            # close through the leftover vertex, entering at the path head
-            pairs.append((extra, seq[0]))
-            paths.append(pairs)
-    for c in range(copies):
-        for pairs in paths:
-            edges = tuple(sorted(
-                (min(a, b), max(a, b), c) for a, b in pairs))
-            trees.append(SteinerTree(edges))
-    return trees
 
 
 def _pack_torus2d(mg, side, copies, pivot):
@@ -389,106 +259,79 @@ def _pack_torus2d(mg, side, copies, pivot):
     return trees
 
 
-# == Greedy extraction ==
+def _bfs_trees(mg, S, pivot, limit):
+    """Up to ``limit`` in-trees toward ``pivot``, each spanning ``S``.
 
-def _greedy_trees(mg, S, pivot):
-    remaining = dict(mg.multiplicity)
-    adj = {v: set() for v in mg.nodes}
-    for (u, v) in mg.multiplicity:
-        adj[u].add(v)
-        adj[v].add(u)
+    A tree may use the arc v->u while fewer than ``multiplicity`` copies
+    of the link have been sent from v to u.  Each tree enters the pivot
+    through its lowest-id neighbour with a free arc, grows breadth-first
+    (in id order) from its nodes other than the pivot, and opens another
+    arc into the pivot only when that search runs out first: the pivot's
+    in-arcs bound p.  It stops once every terminal is in, drops
+    non-terminal leaves, and only then claims the lowest free copy of
+    each arc it kept.  Packing ends when a terminal is out of reach.
+    """
+    terminals = set(S)
+    adj = {v: [] for v in mg.nodes}
+    for u, v in sorted(mg.multiplicity):  # so each list is in id order
+        adj[u].append(v)
+        adj[v].append(u)
+    sent = {}  # arc (v, u) -> copies claimed from v to u
 
-    def take(u, v):
-        key = (u, v) if u < v else (v, u)
-        copy = mg.multiplicity[key] - remaining[key]
-        remaining[key] -= 1
-        return (key[0], key[1], copy)
-
-    def has_cap(u, v):
-        key = (u, v) if u < v else (v, u)
-        return remaining.get(key, 0) > 0
+    def free(v, u):
+        key = (v, u) if v < u else (u, v)
+        return sent.get((v, u), 0) < mg.multiplicity[key]
 
     trees = []
-    while True:
-        tree_nodes = {pivot}
-        tree_edges = []
-        # phase 1: nearest-neighbor path growth from the pivot
-        cur = pivot
-        while True:
-            cands = sorted(v for v in adj[cur]
-                           if v not in tree_nodes and has_cap(cur, v))
-            if not cands:
-                break
-            nxt = cands[0]
-            tree_edges.append(take(cur, nxt))
-            tree_nodes.add(nxt)
-            cur = nxt
-        # phase 2: BFS-attach each remaining terminal via the closest path
-        failed = False
-        while not set(S) <= tree_nodes:
-            parent = {}
-            frontier = sorted(tree_nodes)
-            seen = set(tree_nodes)
-            goal = None
-            while frontier and goal is None:
-                nxt_frontier = []
-                for u in frontier:
-                    for v in sorted(adj[u]):
-                        if v in seen or not has_cap(u, v):
-                            continue
-                        seen.add(v)
-                        parent[v] = u
-                        if v in S and v not in tree_nodes:
-                            goal = v
-                            break
-                        nxt_frontier.append(v)
-                    if goal is not None:
-                        break
-                frontier = nxt_frontier
-            if goal is None:
-                failed = True
-                break
-            path = [goal]
-            while path[-1] not in tree_nodes:
-                path.append(parent[path[-1]])
-            for a, b in zip(path, path[1:]):
-                tree_edges.append(take(a, b))
-            tree_nodes.update(path)
-        if failed:
-            # roll the partial tree's capacity back and stop
-            for u, v, _ in tree_edges:
-                remaining[(u, v)] += 1
-            break
-        # trim non-terminal leaf branches
-        degree = {}
-        for u, v, _ in tree_edges:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        pruned = True
-        while pruned:
-            pruned = False
-            for u, v, c in list(tree_edges):
-                for leaf, other in ((u, v), (v, u)):
-                    if degree.get(leaf) == 1 and leaf not in S:
-                        tree_edges.remove((u, v, c))
-                        remaining[(u, v)] += 1
-                        degree[leaf] -= 1
-                        degree[other] -= 1
-                        pruned = True
-                        break
-        trees.append(SteinerTree(tuple(sorted(tree_edges))))
+    while len(trees) < limit:
+        parent = {pivot: None}
+        missing = len(terminals) - 1
+        entries = iter(adj[pivot])
+        queue = deque()
+        while missing:
+            if not queue:
+                v = next((v for v in entries
+                          if v not in parent and free(v, pivot)), None)
+                if v is None:
+                    return trees
+                parent[v] = pivot
+                missing -= v in terminals
+                queue.append(v)
+                continue
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in parent and free(v, u):
+                    parent[v] = u
+                    queue.append(v)
+                    missing -= v in terminals
+        del parent[pivot]
+        kids = Counter(parent.values())
+        leaves = [v for v in parent if v not in terminals and not kids[v]]
+        while leaves:
+            u = parent.pop(leaves.pop())
+            kids[u] -= 1
+            if u not in terminals and not kids[u]:
+                leaves.append(u)
+        edges = []
+        for v, u in parent.items():
+            c = sent.get((v, u), 0)
+            sent[(v, u)] = c + 1
+            edges.append((min(u, v), max(u, v), c))
+        trees.append(SteinerTree(tuple(sorted(edges))))
     return trees
 
 
-def pack_steiner_trees(mg: UnitMultigraph, S, tree=None):
-    """Pack edge-disjoint trees each connecting the terminal set S.
+def pack_steiner_trees(mg: UnitMultigraph, S, tree=None, d=None):
+    """Pack trees connecting the terminal set S, disjoint per direction.
 
-    Stars, rings, canonical row-major 2-tori and complete graphs get
-    their specialized construction, anything else the greedy extractor.
-    A single terminal yields the zero-tree packing (nothing to send).
-    The pivot is the lowest-id terminal, except the center of a
-    recognized 2-torus when it belongs to S (the directional
-    construction routes to it).
+    Every tree is an in-tree toward the pivot, and no two trees send over
+    the same edge instance in the same direction.  A canonical row-major
+    2-torus whose center is in S gets four directional trees per copy,
+    rooted at the center; anything else gets the breadth-first packer
+    (:func:`_bfs_trees`), rooted at the lowest-id terminal.  A
+    ``d``-coordinate AllReduce has no use for more than ``d`` trees, so
+    with ``d`` given at most ``d`` are returned.  A single terminal
+    yields the zero-tree packing (nothing to send).
 
     ``alpha`` is ``round(mg.scale * min_S_cut(None, S, tree))`` for
     ``tree`` a Gomory-Hu tree of the bandwidth graph ``mg`` came from;
@@ -500,6 +343,8 @@ def pack_steiner_trees(mg: UnitMultigraph, S, tree=None):
     missing = [s for s in S if s not in mg.nodes]
     if missing:
         raise ValueError(f"terminals not in graph: {missing}")
+    if d is not None and d < 1:
+        raise ValueError("vector size must be positive")
     if len(S) == 1:
         return TreePacking((), S, S[0], INFINITY)
 
@@ -509,25 +354,14 @@ def pack_steiner_trees(mg: UnitMultigraph, S, tree=None):
         raise ValueError("cut tree and multigraph have different nodes")
     else:
         alpha = int(round(mg.scale * min_S_cut(None, S, tree)))
-    pivot = S[0]
 
-    hub = _detect_star(mg)
-    if hub is not None:
-        return TreePacking(tuple(_pack_star(mg, S, hub, pivot)), S,
-                           pivot, alpha)
-    order = _detect_ring(mg)
-    if order is not None:
-        return TreePacking(tuple(_pack_ring(mg, order, pivot)), S,
-                           pivot, alpha)
     torus = _detect_torus2d(mg)
     if torus is not None:
         side, copies = torus
         center = 1 + (side // 2) + (side // 2) * side
         if center in S:
             trees = _pack_torus2d(mg, side, copies, center)
-            return TreePacking(tuple(trees), S, center, alpha)
-    copies = _detect_complete(mg)
-    if copies is not None:
-        return TreePacking(tuple(_pack_complete(mg, copies, pivot)), S,
-                           pivot, alpha)
-    return TreePacking(tuple(_greedy_trees(mg, S, pivot)), S, pivot, alpha)
+            return TreePacking(tuple(trees[:d]), S, center, alpha)
+    pivot = S[0]
+    trees = _bfs_trees(mg, S, pivot, INFINITY if d is None else d)
+    return TreePacking(tuple(trees), S, pivot, alpha)

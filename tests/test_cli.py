@@ -327,7 +327,7 @@ def test_plan_with_infinite_links_packs_the_proxy(tmp_path):
         tuple(doc["terminals"]), doc["pivot"], doc["alpha"])
     report = verify_packing(packing, mg, subset)
     assert report.valid, report.problems[:3]
-    assert report.p == doc["p"] == 64
+    assert report.p == doc["p"] == 144
 
 
 def test_generated_and_file_topologies_agree(tmp_path):
@@ -445,6 +445,8 @@ def test_analyze_accepts_a_zero_vector_size(tmp_path):
     (["simulate", "--target-grad-sq", "-1"], "--target-grad-sq"),
     (["simulate", "--target-grad-sq", "0"], "--target-grad-sq"),
     (["simulate", "--target-grad-sq", "inf"], "--target-grad-sq"),
+    (["experiment", "--seeds", "abc"], "--seeds"),
+    (["experiment", "--seeds", "1:x"], "--seeds"),
 ])
 def test_training_flags_are_checked_first(tmp_path, capsys, argv, flag):
     # unchecked, a negative seed failed in numpy after the first cell was

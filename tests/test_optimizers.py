@@ -27,7 +27,7 @@ def quadratic(d=16, **kw):
 
 def test_quadratic_starts_at_the_requested_gap():
     obj = quadratic(d=12, L=2.0, delta=3.0, seed=5)
-    assert obj.f(obj.x0) - obj.f_star == pytest.approx(3.0, rel=1e-12)
+    assert obj.f(obj.x0) == pytest.approx(3.0, rel=1e-12)
     g0 = obj.grad(obj.x0)
     # ||grad||^2 = 2 L delta for a quadratic started delta above the min
     assert float(g0 @ g0) == pytest.approx(2.0 * 2.0 * 3.0, rel=1e-12)
@@ -49,7 +49,6 @@ def test_logreg_gradient_matches_central_differences():
     x = obj.x0 + 0.1
     num = oracles.central_difference_grad(obj.f, x)
     assert np.max(np.abs(num - obj.grad(x))) < 1e-5
-    assert obj.delta > 0
 
 
 def test_logreg_components_partition_the_samples():

@@ -217,11 +217,10 @@ def _assert_same(trace, ref):
     assert trace.comm_seconds == ref.comm_seconds
 
 
-# Every synthetic_logreg block runs a long descent for its f*, so the
-# logistic objective runs on the two-worker graph only.
 @pytest.mark.parametrize("graph,kind", [
     ("star", "quadratic"), ("clusters", "quadratic"), ("torus", "quadratic"),
-    ("pair", "synthetic_logreg")])
+    ("pair", "synthetic_logreg"), ("star", "synthetic_logreg"),
+    ("clusters", "synthetic_logreg")])
 @pytest.mark.parametrize("sigma2", [0.0, 3.0])
 @pytest.mark.parametrize("gamma,target", [(None, None), (0.3, None),
                                           (None, 0.05)])

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from flowsgd import (build_graph, gomory_hu_tree, min_S_cut,
                      min_S_cut_multigraph, pack_steiner_trees,
                      unit_multigraph, verify_packing)
-from flowsgd.steiner_packing import (SteinerTree, _detect_complete,
-                                     _detect_ring, _detect_star,
-                                     _detect_torus2d)
+from flowsgd.steiner_packing import SteinerTree, _detect_torus2d
 
 import oracles
 from conftest import SWITCH_SPEC, random_graph_spec, spec_edges
@@ -110,10 +108,9 @@ def test_complete_graph_spanning_regime():
 
 
 def test_greedy_strategy_agrees_with_verifier(five_node):
-    # five_node is no star, ring, torus or clique: the greedy extractor
+    # five_node is no 2-torus: the breadth-first packer
     mg = unit_multigraph(five_node)
-    assert _detect_star(mg) is None and _detect_ring(mg) is None
-    assert _detect_torus2d(mg) is None and _detect_complete(mg) is None
+    assert _detect_torus2d(mg) is None
     packing, mg = _pack(five_node, five_node.nodes)
     report = verify_packing(packing, mg, five_node.nodes)
     assert report.valid, report.problems
