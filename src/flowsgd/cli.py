@@ -197,7 +197,7 @@ def _atomic_write(path, data):
 
 
 def _write_json(path, payload):
-    _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True)
+    _atomic_write(path, (json.dumps(payload, sort_keys=True)
                          + "\n").encode())
 
 
@@ -333,7 +333,8 @@ def cmd_plan(cfg):
     doc = schedule.to_dict()
     doc["predicted_seconds"] = sim.completion_time
     _write_json(schedule_path, doc)
-    print(f"packing: p={packing.p} trees, alpha={_fmt(packing.alpha)} "
+    print(f"packing: p={packing.p} trees in {len(packing.shapes())} "
+          f"shapes, alpha={_fmt(packing.alpha)} "
           f"(ratio {packing.ratio:.3f})")
     print(f"allreduce of d={int(params.d)}: {sim.completion_time:.6g}s "
           f"({cfg.comm_mode})")

@@ -13,7 +13,10 @@ than per-coordinate packets.  Three kinds of activity are modeled:
   each hop adds its link latency plus a per-hop startup -- one
   coordinate slot when pipelined, the whole block when stored and
   forwarded -- in one bottom-up pass for the reduce phase and one
-  top-down pass for the broadcast (the naive round is the one-tree case);
+  top-down pass for the broadcast (the naive round is the one-tree case).
+  Copies of one tree shape stream as one tree weighted by their number,
+  so an AllReduce costs one pass per shape and its time depends on the
+  link bandwidths, not on the unit multigraph's scale;
 * point-to-point transfers that contend for links and share them
   max-min fairly, recomputed at every event boundary
   (:func:`run_separate_transfers`, :func:`shared_edge_rates`).
@@ -71,7 +74,9 @@ class TraceEvent(NamedTuple):
 class SimSchedule:
     pivot: int
     block_size: int
-    blocks: tuple  # block index -> tree index (identity here)
+    # block index -> tree index (identity); the blocks of one tree
+    # shape's copies stream together
+    blocks: tuple
     phases: tuple  # ("reduce", "broadcast") or ("reduce",)
 
     def to_dict(self):
@@ -167,23 +172,23 @@ def run_gradient_computation(workers, h, stop, max_seconds=1e9,
 
 # == Tree streaming ==
 
-def _stream(arcs, latency, rate, size, slot):
+def _stream(arcs, latency, rate, size, slot, copies):
     """Per-arc ``(start, finish, rate)`` of one tree-streaming phase.
 
     ``arcs`` are directed links (u, v) in feeding order: every arc into u
     comes before (u, v) -- bottom-up toward the pivot for a reduce,
     top-down from it for a broadcast.  ``latency`` and ``rate`` map a
-    directed link to its latency and rate.  The stream on (u, v) runs at
-    the smaller of its link rate and the slowest stream into u, and
-    starts when the last stream into u has been under way for its link
-    latency plus ``slot / rate``: ``slot`` is one coordinate when
-    pipelined and the whole ``size`` when stored and forwarded.  Times
-    are relative to the start of the phase.
+    directed link to its latency and rate; ``copies`` multiplies every
+    rate.  The stream on (u, v) runs at the smaller of its link rate and
+    the slowest stream into u, and starts when the last stream into u has
+    been under way for its link latency plus ``slot / rate``: ``slot`` is
+    one coordinate when pipelined and the whole ``size`` when stored and
+    forwarded.  Times are relative to the start of the phase.
     """
     rate_in, ready = {}, {}
     out = []
     for u, v in arcs:
-        r = min(rate[(u, v)], rate_in.get(u, INFINITY))
+        r = min(copies * rate[(u, v)], rate_in.get(u, INFINITY))
         start = ready.get(u, 0.0)
         lat = latency[(u, v)]
         out.append((start, start + lat + size / r, r))
@@ -192,30 +197,33 @@ def _stream(arcs, latency, rate, size, slot):
     return out
 
 
-def _reduce_broadcast(g, pivot, trees, rate, size, slot, head):
+def _reduce_broadcast(g, pivot, trees, rate, size, pipelined, head):
     """Trace a reduce up every tree, a barrier, then a broadcast down.
 
-    ``trees()`` yields one ``(detail, up)`` per tree, ``up`` its arcs
-    ``(a, b, name)`` in feeding order toward ``pivot``; it is called once
-    per phase, so a tree's arcs exist only while that phase streams it.
-    Once the last reduce has arrived, each tree streams its reversed arcs
-    in reverse order.  Every arc carries ``size`` coordinates, timed by
-    :func:`_stream` with ``rate`` and ``slot``.  A flow is named
-    ``<phase>/<name>``; its detail is the tree's ``detail``, with
-    ``head`` added on reduce flows into the pivot.
+    ``trees()`` yields one ``(detail, up, copies)`` per tree, ``up`` its
+    arcs ``(a, b, name)`` in feeding order toward ``pivot``; it is called
+    once per phase, so a tree's arcs exist only while that phase streams
+    it.  Once the last reduce has arrived, each tree streams its reversed
+    arcs in reverse order.  A tree stands for ``copies`` trees on the
+    same links: every arc carries ``copies * size`` coordinates at
+    ``copies`` times ``rate``, timed by :func:`_stream` with a per-hop
+    slot of one coordinate if ``pipelined``, else of all of them.  A flow
+    is named ``<phase>/<name>``; its detail is the tree's ``detail``,
+    with ``head`` added on reduce flows into the pivot.
     """
     events = []
     carried = {}  # directed link -> coordinates
     offset = done = 0.0
     for phase in ("reduce", "broadcast"):
-        for detail, up in trees():
+        for detail, up, copies in trees():
             into = f"{detail};{head}" if head else detail
             arcs = up if phase == "reduce" else \
                 [(b, a, name) for a, b, name in reversed(up)]
+            sent = copies * size
             timing = _stream([(a, b) for a, b, _ in arcs], g.latency, rate,
-                             size, slot)
+                             sent, 1.0 if pipelined else sent, copies)
             for (a, b, name), (start, finish, r) in zip(arcs, timing):
-                carried[(a, b)] = carried.get((a, b), 0.0) + size
+                carried[(a, b)] = carried.get((a, b), 0.0) + sent
                 events.append(TraceEvent(
                     offset + finish, "flow_done", b, (a, b),
                     f"{phase}/{name}",
@@ -233,15 +241,18 @@ def run_allreduce(g: WeightedGraph, packing: TreePacking, d, mode="streamed"):
 
     The vector is zero-padded into ``p`` blocks of ``ceil(d/p)``
     coordinates, block j streaming through tree j.  Every tree edge is an
-    instance of the unit multigraph and carries exactly ``1/scale``
-    coordinates per second.  The broadcast phase starts after every
-    tree's reduce has completed (one barrier, as in the two-phase
-    schedule), reusing each tree with reversed orientation — disjointness
-    of the reduce arcs then carries over to the broadcast arcs.
+    instance of the unit multigraph, good for ``1/scale`` coordinates per
+    second, so the ``k`` copies of one tree shape
+    (:meth:`TreePacking.shapes`) stream as one tree: ``k`` blocks at
+    ``k/scale`` per arc, traced under the first copy's name.  The
+    broadcast phase starts after every tree's reduce has completed (one
+    barrier, as in the two-phase schedule), reusing each tree with
+    reversed orientation — disjointness of the reduce arcs then carries
+    over to the broadcast arcs.
 
     ``mode="streamed"`` pipelines coordinates (per-hop startup of one
     coordinate slot); ``mode="store_forward"`` forwards only whole
-    blocks, for comparison.
+    blocks -- all ``k`` of a shape -- for comparison.
     """
     if mode not in ("streamed", "store_forward"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -260,15 +271,18 @@ def run_allreduce(g: WeightedGraph, packing: TreePacking, d, mode="streamed"):
 
     block = math.ceil(d / p)
 
+    shapes = packing.shapes()
+
     def trees():
-        for ti, tree in enumerate(packing.trees):
-            yield f"block={ti}", [
+        for ti, k in shapes:
+            yield f"block={ti}" + (f";copies={k}" if k > 1 else ""), [
                 (a, b, f"t{ti}/{u}-{v}#{c}") for a, b, (u, v, c)
-                in reversed(orient_to_pivot(tree, packing.pivot))]
+                in reversed(orient_to_pivot(packing.trees[ti],
+                                            packing.pivot))], k
 
     trace = _reduce_broadcast(
         g, packing.pivot, trees, dict.fromkeys(g.bandwidth, mg.unit_rate),
-        block, 1.0 if mode == "streamed" else block,
+        block, mode == "streamed",
         f"size={block};contrib={len(packing.terminals)}")
     return trace, SimSchedule(packing.pivot, block, tuple(range(p)),
                               ("reduce", "broadcast"))
@@ -323,8 +337,8 @@ def run_naive_sync_round(g: WeightedGraph, pivot, d):
     if len(order) != len(g.nodes):
         raise ValueError("graph is disconnected")
     up = [(c, parent[c], f"{c}-{parent[c]}") for c in reversed(order[1:])]
-    return _reduce_broadcast(g, pivot, lambda: [("", up)], g.bandwidth, d,
-                             1.0, "")
+    return _reduce_broadcast(g, pivot, lambda: [("", up, 1)], g.bandwidth,
+                             d, True, "")
 
 
 # == Contending point-to-point transfers ==

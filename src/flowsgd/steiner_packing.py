@@ -57,10 +57,24 @@ class TreePacking:
             return 0.0
         return self.p / self.alpha
 
+    def shapes(self):
+        """``(first tree index, copies)`` per distinct tree shape.
+
+        Trees have the same shape when they use the same links, whatever
+        the copy indices; shapes come in order of first appearance.
+        """
+        copies = {}
+        for ti, tree in enumerate(self.trees):
+            links = frozenset((u, v) for u, v, _ in tree.edges)
+            first, k = copies.get(links, (ti, 0))
+            copies[links] = (first, k + 1)
+        return list(copies.values())
+
     def to_dict(self):
         return {
             "pivot": self.pivot,
             "p": self.p,
+            "shapes": len(self.shapes()),
             "alpha": "inf" if self.alpha == INFINITY else self.alpha,
             "ratio": self.ratio,
             "terminals": list(self.terminals),
@@ -267,9 +281,13 @@ def _bfs_trees(mg, S, pivot, limit):
     through its lowest-id neighbour with a free arc, grows breadth-first
     (in id order) from its nodes other than the pivot, and opens another
     arc into the pivot only when that search runs out first: the pivot's
-    in-arcs bound p.  It stops once every terminal is in, drops
-    non-terminal leaves, and only then claims the lowest free copy of
-    each arc it kept.  Packing ends when a terminal is out of reach.
+    in-arcs bound p.  It stops once every terminal is in and drops
+    non-terminal leaves.  The search only asks whether an arc is
+    exhausted, so it would find the same tree again until one of the
+    arcs it kept runs out: the tree is claimed that many times at once
+    (at most ``limit`` trees in all), copy j taking the lowest free copy
+    of each kept arc plus j.  Packing ends when a terminal is out of
+    reach.
     """
     terminals = set(S)
     adj = {v: [] for v in mg.nodes}
@@ -312,12 +330,16 @@ def _bfs_trees(mg, S, pivot, limit):
             kids[u] -= 1
             if u not in terminals and not kids[u]:
                 leaves.append(u)
-        edges = []
-        for v, u in parent.items():
-            c = sent.get((v, u), 0)
-            sent[(v, u)] = c + 1
-            edges.append((min(u, v), max(u, v), c))
-        trees.append(SteinerTree(tuple(sorted(edges))))
+        first = {(v, u): sent.get((v, u), 0) for v, u in parent.items()}
+        k = min(limit - len(trees),
+                min(mg.multiplicity[(min(a), max(a))] - c
+                    for a, c in first.items()))
+        shape = sorted((min(a), max(a), c) for a, c in first.items())
+        for j in range(k):
+            trees.append(SteinerTree(tuple((u, v, c + j)
+                                           for u, v, c in shape)))
+        for a, c in first.items():
+            sent[a] = c + k
     return trees
 
 

@@ -7,8 +7,9 @@ import pytest
 
 import flowsgd.graph_core
 import flowsgd.optimizers
-from flowsgd import (TreePacking, SteinerTree, finite_bandwidth_proxy,
-                     min_S_cut_multigraph, serialize_topology, topologies,
+from flowsgd import (TreePacking, SteinerTree, audit_capacity,
+                     finite_bandwidth_proxy, min_S_cut_multigraph,
+                     run_allreduce, serialize_topology, topologies,
                      unit_multigraph, verify_packing)
 from flowsgd.cli import main
 
@@ -328,6 +329,38 @@ def test_plan_with_infinite_links_packs_the_proxy(tmp_path):
     report = verify_packing(packing, mg, subset)
     assert report.valid, report.problems[:3]
     assert report.p == doc["p"] == 144
+
+
+def test_plan_passes_the_bench_plan_check(tmp_path, capsys):
+    # rebuilds the packing from packing.json, one tree per entry, the way
+    # perfbench/workloads.check_plan does, and re-simulates the AllReduce
+    out = tmp_path / "clusters"
+    assert main(["plan", "--gen", "clusters:40x4:b_slow=0.1:b_fast=10",
+                 "--d", "1000", "--sigma2", "1000", "--out", str(out)]) == 0
+    graph = topologies.k_clusters(40, 4, b_slow=0.1, b_fast=10.0)
+    subset = json.loads((out / "selection.json").read_text())["chosen"][
+        "subset"]
+    doc = json.loads((out / "packing.json").read_text())
+    packing = TreePacking(
+        tuple(SteinerTree(tuple(tuple(e) for e in t["edges"]))
+              for t in doc["trees"]),
+        tuple(doc["terminals"]), doc["pivot"], doc["alpha"])
+    assert list(packing.terminals) == sorted(subset)
+    proxy = finite_bandwidth_proxy(graph)
+    report = verify_packing(packing, unit_multigraph(proxy),
+                            packing.terminals)
+    assert report.valid, report.problems[:3]
+    assert report.p <= report.alpha
+    trace, _ = run_allreduce(proxy, packing, 1000)
+    assert audit_capacity(trace, proxy) <= 1 + 1e-9
+    predicted = json.loads((out / "schedule.json").read_text())[
+        "predicted_seconds"]
+    assert predicted == trace.completion_time
+    # every copy of a shape is one packing.json entry; the count is kept
+    shapes = len(packing.shapes())
+    assert doc["shapes"] == shapes < packing.p
+    assert f"p={packing.p} trees in {shapes} shapes" in \
+        capsys.readouterr().out
 
 
 def test_generated_and_file_topologies_agree(tmp_path):

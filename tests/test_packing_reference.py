@@ -7,9 +7,15 @@ same number of trees and, on the full ring, the same AllReduce time; on
 cliques it must reach the min S-cut with trees of depth at most 2, where
 the zigzag paths reached about half of it.  No path may return more
 trees than the vector has coordinates.
+
+``_bfs_trees_one_copy`` is the breadth-first packer as it was before it
+claimed copies in bulk, searching once per tree; the packer must build
+the same trees.
 """
 
+import math
 import random
+from collections import Counter, deque
 from dataclasses import replace
 
 import pytest
@@ -19,6 +25,7 @@ from flowsgd import (SteinerTree, build_graph, gomory_hu_tree,
                      min_S_cut_multigraph, orient_to_pivot,
                      pack_steiner_trees, run_allreduce, topologies,
                      unit_multigraph, verify_packing)
+from flowsgd.steiner_packing import _bfs_trees
 
 from conftest import random_graph_spec
 
@@ -93,6 +100,57 @@ def _pack_complete(mg, copies, pivot):
             edges = tuple(sorted(
                 (min(a, b), max(a, b), c) for a, b in pairs))
             trees.append(SteinerTree(edges))
+    return trees
+
+
+def _bfs_trees_one_copy(mg, S, pivot, limit):
+    terminals = set(S)
+    adj = {v: [] for v in mg.nodes}
+    for u, v in sorted(mg.multiplicity):  # so each list is in id order
+        adj[u].append(v)
+        adj[v].append(u)
+    sent = {}  # arc (v, u) -> copies claimed from v to u
+
+    def free(v, u):
+        key = (v, u) if v < u else (u, v)
+        return sent.get((v, u), 0) < mg.multiplicity[key]
+
+    trees = []
+    while len(trees) < limit:
+        parent = {pivot: None}
+        missing = len(terminals) - 1
+        entries = iter(adj[pivot])
+        queue = deque()
+        while missing:
+            if not queue:
+                v = next((v for v in entries
+                          if v not in parent and free(v, pivot)), None)
+                if v is None:
+                    return trees
+                parent[v] = pivot
+                missing -= v in terminals
+                queue.append(v)
+                continue
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in parent and free(v, u):
+                    parent[v] = u
+                    queue.append(v)
+                    missing -= v in terminals
+        del parent[pivot]
+        kids = Counter(parent.values())
+        leaves = [v for v in parent if v not in terminals and not kids[v]]
+        while leaves:
+            u = parent.pop(leaves.pop())
+            kids[u] -= 1
+            if u not in terminals and not kids[u]:
+                leaves.append(u)
+        edges = []
+        for v, u in parent.items():
+            c = sent.get((v, u), 0)
+            sent[(v, u)] = c + 1
+            edges.append((min(u, v), max(u, v), c))
+        trees.append(SteinerTree(tuple(sorted(edges))))
     return trees
 
 
@@ -243,3 +301,36 @@ def test_bfs_packer_is_capped_at_d(seed, d, data):
     assert capped.p == min(full.p, d)
     assert capped.trees == full.trees[:d]
     assert verify_packing(capped, mg, S).valid
+
+
+# == bulk claims ==
+
+def _assert_same_trees(mg, S, d):
+    S = tuple(sorted(S))
+    limit = math.inf if d is None else d
+    got = _bfs_trees(mg, S, S[0], limit)
+    want = _bfs_trees_one_copy(mg, S, S[0], limit)
+    assert [t.edges for t in got] == [t.edges for t in want], (S, d)
+
+
+def test_bulk_claims_match_one_copy_per_search_on_random_graphs():
+    # 400 graphs x (full S + 3 random subsets) x 4 vector sizes
+    cases = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        g = build_graph(random_graph_spec(rng))
+        mg = unit_multigraph(g)
+        nodes = sorted(g.nodes)
+        subsets = [tuple(nodes)] + [_terminals(rng, nodes) for _ in range(3)]
+        for S in subsets:
+            for d in (None, 1, 3, 1000):
+                _assert_same_trees(mg, S, d)
+                cases += 1
+    assert cases == 6400
+
+
+def test_bulk_claims_match_one_copy_per_search_on_bench_shapes():
+    g = topologies.k_clusters(200, 10, b_slow=0.1, b_fast=10.0)
+    _assert_same_trees(unit_multigraph(g), range(1, 21), 1000)
+    for g in (topologies.ring(8, b=1.001), topologies.p_torus(5, b=1.01)):
+        _assert_same_trees(unit_multigraph(g), g.nodes, 1000)

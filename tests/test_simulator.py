@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -247,6 +248,61 @@ def test_allreduce_counts_every_contributor_once():
     blocks = {e.flow_id.split("/")[1] for e in into_pivot}
     assert len(blocks) == pk.p
     assert pk.p * schedule.block_size >= 90
+
+
+def _scaled(g, k):
+    """``g`` with every bandwidth multiplied by ``k`` and no latency."""
+    return replace(g, bandwidth={e: k * b for e, b in g.bandwidth.items()},
+                   latency=dict.fromkeys(g.latency, 0.0))
+
+
+@pytest.mark.parametrize("g", [
+    topologies.ring(8), topologies.p_torus(5), topologies.star(6),
+    topologies.k_clusters(12, 3, b_slow=1.0, b_fast=2.0)],
+    ids=["ring", "torus", "star", "clusters"])
+def test_streamed_allreduce_time_scales_with_bandwidth(g):
+    # k times the bandwidth gives k times the copies of the same shapes,
+    # which stream as one tree at k times the rate
+    base, _ = run_allreduce(_scaled(g, 1), packed(g), 1200)
+    for k in (2, 3):
+        fast = _scaled(g, k)
+        trace, _ = run_allreduce(fast, packed(fast), 1200)
+        assert trace.completion_time == \
+            pytest.approx(base.completion_time / k, rel=1e-12)
+        assert audit_capacity(trace, fast) <= 1 + 1e-9
+
+
+@pytest.mark.parametrize("g, streamed, stored", [
+    (topologies.ring(8), 1012.0, 7000.0),
+    (topologies.ring(8, b=3.0), 338.0, 2338.0),
+    (topologies.ring(8, b=1.001), 2012.0, 14000.0),
+    (topologies.p_torus(5), 516.0, 4500.0),
+    (topologies.p_torus(5, b=1.01), 615.8415841584158, 5400.0)],
+    ids=["ring", "ring-b3", "ring-b1.001", "torus", "torus-b1.01"])
+def test_allreduce_time_does_not_depend_on_the_scale(g, streamed, stored):
+    # at b = 1.001 the multigraph has scale 1000, yet a hop costs one
+    # coordinate at the shape's rate, not a slot of 1000 s per copy
+    pk = pack_steiner_trees(unit_multigraph(g), g.nodes, d=1000)
+    for mode, want in (("streamed", streamed), ("store_forward", stored)):
+        trace, _ = run_allreduce(g, pk, 1000, mode=mode)
+        assert trace.completion_time == pytest.approx(want, rel=1e-12)
+        assert audit_capacity(trace, g) <= 1 + 1e-9
+
+
+def test_copies_of_a_shape_stream_as_one_tree():
+    g = topologies.ring(8, b=3.0)
+    pk = packed(g)
+    assert pk.p == 6 and pk.shapes() == [(0, 3), (3, 3)]
+    trace, schedule = run_allreduce(g, pk, 600)
+    assert schedule.blocks == tuple(range(6))
+    flows = [e for e in trace.events if e.event_kind == "flow_done"]
+    assert len(flows) == 2 * 2 * 7
+    assert {e.flow_id.split("/")[1] for e in flows} == {"t0", "t3"}
+    assert {e.detail.split(";")[:2] == ["block=0", "copies=3"]
+            for e in flows if "/t0/" in e.flow_id} == {True}
+    assert {e.rate for e in flows} == {3.0}
+    assert trace.utilization[(2, 1)] == pytest.approx(
+        300 / (3.0 * trace.completion_time))
 
 
 # == naive aggregation round ==

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from flowsgd import (build_graph, gomory_hu_tree, min_S_cut,
                      min_S_cut_multigraph, pack_steiner_trees,
                      unit_multigraph, verify_packing)
-from flowsgd.steiner_packing import SteinerTree, _detect_torus2d
+from flowsgd.steiner_packing import (SteinerTree, TreePacking,
+                                     _detect_torus2d)
 
 import oracles
 from conftest import SWITCH_SPEC, random_graph_spec, spec_edges
@@ -56,6 +57,19 @@ def test_torus_packs_four_directional_trees():
     assert packing.p == 4
     report = verify_packing(packing, mg, g.nodes)
     assert report.valid, report.problems
+
+
+def test_shapes_group_copies_by_their_links():
+    a0 = SteinerTree(((1, 2, 0), (2, 3, 0)))
+    b0 = SteinerTree(((1, 3, 0), (2, 3, 1)))
+    a1 = SteinerTree(((1, 2, 1), (2, 3, 2)))
+    packing = TreePacking((a0, b0, a1), (1, 2, 3), 1, 2)
+    assert packing.shapes() == [(0, 2), (1, 1)]
+    assert packing.to_dict()["shapes"] == 2
+    # the packer claims each shape's copies together
+    g = topologies.p_torus(5, b=2.0)
+    packing = pack_steiner_trees(unit_multigraph(g), g.nodes)
+    assert packing.p == 8 and len(packing.shapes()) == 4
 
 
 def test_singleton_terminal_set_is_empty_packing(five_node):
