@@ -343,7 +343,7 @@ def cmd_plan(cfg):
 
 # == simulate / experiment ==
 
-def _objectives_for(method, cfg, seed):
+def _objective_for(method, cfg, seed):
     n = len(cfg.graph.workers())
     if method == "leon":
         samples = None
@@ -359,20 +359,20 @@ def _objectives_for(method, cfg, seed):
 
 
 def _run_cell(cfg, method, seed):
-    objs = _objectives_for(method, cfg, seed)
-    oracle = StochasticOracle(objs, cfg.params.sigma2, seed=seed)
+    objective = _objective_for(method, cfg, seed)
+    oracle = StochasticOracle(objective, cfg.params.sigma2, seed=seed)
     kw = {"target_grad_sq": cfg.target_grad_sq}
     if method == "grace":
-        trace = grace_sgd(cfg.graph, objs, oracle, cfg.params,
+        trace = grace_sgd(cfg.graph, objective, oracle, cfg.params,
                           cfg.max_iters, mode=cfg.comm_mode, **kw)
     elif method == "leon":
-        trace = leon_sgd(cfg.graph, objs, oracle, cfg.params,
+        trace = leon_sgd(cfg.graph, objective, oracle, cfg.params,
                          cfg.max_iters, mode=cfg.comm_mode, **kw)
     elif method == "sync":
-        trace = sync_sgd(cfg.graph, objs, oracle, cfg.params,
+        trace = sync_sgd(cfg.graph, objective, oracle, cfg.params,
                          cfg.max_iters, **kw)
     else:
-        trace = hero_sgd(objs, oracle, cfg.params, cfg.max_iters,
+        trace = hero_sgd(objective, oracle, cfg.params, cfg.max_iters,
                          cfg.graph.h, **kw)
     if trace.final_time() > cfg.max_sim_seconds:
         raise ValueError(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,51 +39,72 @@ INFINITY = math.inf
 
 @dataclass(frozen=True)
 class Objective:
-    """A differentiable target with known smoothness and a start."""
+    """A differentiable target with known smoothness and a start.
+
+    ``parts`` is the number of equal-weight components the target
+    averages: one per worker for leon, 1 for everything else.
+    """
 
     d: int
     f: object  # x -> float
     grad: object  # x -> ndarray
     L: float
     x0: np.ndarray
+    parts: int = 1
 
 
 _REG = 1e-3  # weight of synthetic_logreg's ℓ2 term
 
 
+def _require_count(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def make_objective(kind, d, n_components=1, seed=0, L=1.0, delta=1.0,
                    n_samples=None):
-    """Build a synthetic objective (or component list) for experiments.
+    """Build a synthetic objective: the mean of ``n_components`` parts.
 
-    ``quadratic``: f(x) = (L/2)‖x−x★‖² with the start placed so the gap
-    is exactly ``delta``; with several components each gets its own
-    seeded minimizer (equal curvature), the start is placed against the
-    averaged function, and a tuple of components is returned.
+    ``quadratic``: seeded minimizers c_1..c_n, one per component, each
+    with f_i(x) = (L/2)‖x−c_i‖².  Their mean is computed in closed form,
+    f(x) = (L/2)(‖x−c̄‖² + s) with c̄ the mean centre and
+    s = (1/n)·Σ‖c_i−c̄‖², so ∇f(x) = L(x−c̄); the start is placed so the
+    gap is exactly ``delta``.
 
     ``synthetic_logreg``: seeded Gaussian features with ±1 labels and an
-    ℓ2 term of weight 1e-3, started at zero; L comes from the design's
-    spectral norm.  Several components partition the sample rows, so
-    their average is exactly the full-data objective.
+    ℓ2 term of weight 1e-3, started at zero.  The n components partition
+    the sample rows into equal blocks, so their mean is the full-data
+    objective; L is the largest block's smoothness constant, which
+    bounds every component's (and the mean's).
+
+    The returned Objective has ``parts = n_components``; with one
+    component it is that component.
     """
+    _require_count("d", d)
+    _require_count("n_components", n_components)
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be finite and > 0, got {L!r}")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
+    if n_samples is not None:
+        _require_count("n_samples", n_samples)
+
     if kind == "quadratic":
         rng = np.random.default_rng(seed)
         radius = math.sqrt(2.0 * delta / L)
-        centers = [rng.standard_normal(d) for _ in range(n_components)]
-        mean_center = np.mean(centers, axis=0)
+        centers = np.array([rng.standard_normal(d)
+                            for _ in range(n_components)])
+        center = np.mean(centers, axis=0)
+        spread = float(np.mean(np.sum((centers - center) ** 2, axis=1)))
         direction = rng.standard_normal(d)
         direction /= np.linalg.norm(direction)
-        x0 = mean_center + radius * direction
-
-        def component(c):
-            return Objective(
-                d=d,
-                f=lambda x, c=c: 0.5 * L * float(np.dot(x - c, x - c)),
-                grad=lambda x, c=c: L * (x - c),
-                L=L, x0=x0)
-
-        if n_components == 1:
-            return component(centers[0])
-        return tuple(component(c) for c in centers)
+        return Objective(
+            d=d,
+            f=lambda x: 0.5 * L * (float(np.dot(x - center, x - center))
+                                   + spread),
+            grad=lambda x: L * (x - center),
+            L=L, x0=center + radius * direction, parts=n_components)
 
     if kind == "synthetic_logreg":
         rng = np.random.default_rng(seed)
@@ -94,27 +116,21 @@ def make_objective(kind, d, n_components=1, seed=0, L=1.0, delta=1.0,
         y = np.sign(A @ w_true + 0.3 * rng.standard_normal(m))
         y[y == 0] = 1.0
 
-        def block_objective(rows):
-            Ab, yb = A[rows], y[rows]
-            Lb = (np.linalg.norm(Ab, 2) ** 2) / (4.0 * len(rows)) + _REG
+        def f(x):
+            z = -y * (A @ x)
+            return float(np.mean(np.logaddexp(0.0, z))
+                         + 0.5 * _REG * np.dot(x, x))
 
-            def f(x, Ab=Ab, yb=yb):
-                z = -yb * (Ab @ x)
-                return float(np.mean(np.logaddexp(0.0, z))
-                             + 0.5 * _REG * np.dot(x, x))
+        def grad(x):
+            z = -y * (A @ x)
+            s = 1.0 / (1.0 + np.exp(-z))
+            return (A.T @ (-y * s)) / m + _REG * x
 
-            def grad(x, Ab=Ab, yb=yb):
-                z = -yb * (Ab @ x)
-                s = 1.0 / (1.0 + np.exp(-z))
-                return (Ab.T @ (-yb * s)) / len(yb) + _REG * x
-
-            return Objective(d=d, f=f, grad=grad, L=Lb, x0=np.zeros(d))
-
-        if n_components == 1:
-            return block_objective(range(m))
         size = m // n_components
-        return tuple(block_objective(range(c * size, (c + 1) * size))
-                     for c in range(n_components))
+        L = max(np.linalg.norm(A[c * size:(c + 1) * size], 2) ** 2
+                / (4.0 * size) + _REG for c in range(n_components))
+        return Objective(d=d, f=f, grad=grad, L=L, x0=np.zeros(d),
+                         parts=n_components)
 
     raise ValueError(f"unknown objective kind {kind!r}")
 
@@ -122,13 +138,15 @@ def make_objective(kind, d, n_components=1, seed=0, L=1.0, delta=1.0,
 class StochasticOracle:
     """Seeded noisy-gradient source shared by all methods.
 
-    ``objectives`` is one Objective (homogeneous) or a sequence of
-    per-worker components whose uniform average is the target.  A single
-    gradient carries N(0, σ²/d) noise per coordinate, so E‖g−∇f‖² = σ².
-    The training loop draws each iteration's summed noise as one vector
-    keyed by (seed, iteration); :meth:`gradient_sum` draws one keyed by
-    (seed, worker, iteration).  Both come from counter-based generators,
-    so traces are reproducible regardless of execution order.
+    A single gradient carries N(0, σ²/d) noise per coordinate, so
+    E‖g−∇f‖² = σ².  The training loop reads only σ² and the seed: it
+    draws each iteration's summed noise as one vector keyed by
+    (seed, iteration) and takes exact gradients from its one Objective
+    (leon's is the closed-form mean of its components).
+    :meth:`gradient_sum` draws one keyed by (seed, worker, iteration) and
+    adds the exact gradient of one of ``objectives``, an Objective or a
+    sequence of them.  Both draws come from counter-based generators, so
+    traces are reproducible regardless of execution order.
     """
 
     def __init__(self, objectives, sigma2, seed=0):
@@ -266,28 +284,23 @@ def _planned(plan, g, *args):
     return cache[key]
 
 
-def _sgd(method, objectives, oracle, schedule, max_iters, gamma,
+def _sgd(method, objective, oracle, schedule, max_iters, gamma,
          target_grad_sq):
     """The training loop of every method.
 
     Each iteration steps x ← x − (γ/c)·(c·∇F(x) + N(0, w·σ²/d)), with F
-    the mean of ``objectives``, c and w from the schedule, and the noise
-    one vector keyed by (seed, iteration); γ defaults to 1/(2·max L).
-    Each iterate's gradient is computed once: its row records ‖∇F‖² and
-    the next step reuses it.
+    the one ``objective`` (for leon, the mean of its components), c and
+    w from the schedule, and the noise one vector keyed by
+    (seed, iteration); γ defaults to 1/(2L).  Each iterate's gradient is
+    computed once: its row records ‖∇F‖² and the next step reuses it.
     """
-    n, d = len(objectives), objectives[0].d
+    d = objective.d
     if gamma is None:
-        gamma = 1.0 / (2.0 * max(o.L for o in objectives))
+        gamma = 1.0 / (2.0 * objective.L)
     c, w = schedule.c, schedule.w
     batch = sum(schedule.counts.values())
-
-    def point(x):
-        return (sum(o.f(x) for o in objectives) / n,
-                sum(o.grad(x) for o in objectives) / n)
-
-    x = objectives[0].x0.copy()
-    fv, grad = point(x)
+    x = objective.x0.copy()
+    fv, grad = objective.f(x), objective.grad(x)
     rows = [(0, 0.0, float(np.dot(grad, grad)), fv, 0)]
     t = comm_total = 0.0
     status = "max_iters"
@@ -295,7 +308,7 @@ def _sgd(method, objectives, oracle, schedule, max_iters, gamma,
         x = x - (gamma / c) * (c * grad + oracle._draw((k,), w, d))
         t += schedule.compute + schedule.comm
         comm_total += schedule.comm
-        fv, grad = point(x)
+        fv, grad = objective.f(x), objective.grad(x)
         gsq = float(np.dot(grad, grad))
         rows.append((k, t, gsq, fv, batch))
         if target_grad_sq is not None and gsq <= target_grad_sq:
@@ -335,7 +348,7 @@ def grace_sgd(g: WeightedGraph, objective: Objective,
     """
     schedule = _planned(_grace_schedule, g, params, objective.d, mode,
                         None if subset is None else frozenset(subset))
-    return _sgd("grace", (objective,), oracle, schedule, max_iters, gamma,
+    return _sgd("grace", objective, oracle, schedule, max_iters, gamma,
                 target_grad_sq)
 
 
@@ -350,28 +363,27 @@ def _leon_schedule(g, params, d, mode):
     return _Schedule(counts, elapsed, comm, 1, weight)
 
 
-def leon_sgd(g: WeightedGraph, objectives, oracle: StochasticOracle,
-             params: ProblemParams, max_iters, gamma=None,
-             mode="streamed", target_grad_sq=None):
+def leon_sgd(g: WeightedGraph, objective: Objective,
+             oracle: StochasticOracle, params: ProblemParams, max_iters,
+             gamma=None, mode="streamed", target_grad_sq=None):
     """All-workers SGD with the harmonic-mean batch stopping rule.
 
-    Every worker owns one component; accumulation continues until the
-    rule fires, then the batch-averaged gradients are averaged again
+    ``objective`` is the mean of ``objective.parts`` components, one per
+    worker (see :func:`make_objective`).  Accumulation continues until
+    the rule fires, then the batch-averaged gradients are averaged again
     across workers and exchanged over trees spanning all workers.  That
-    mean of means is (1/n)·Σ_c ∇f_c(x) plus its noise, drawn as one
-    N(0, (σ²/d)·Σ_w 1/(n²·B_w)) vector per iteration.  γ defaults to
-    1/(2·max L).
+    mean of means is (1/n)·Σ_c ∇f_c(x) = ∇F(x) plus its noise, drawn as
+    one N(0, (σ²/d)·Σ_w 1/(n²·B_w)) vector per iteration.  γ defaults to
+    1/(2L), L bounding every component's smoothness.
     ``mode`` is the AllReduce block handling, ``"streamed"`` or
     ``"store_forward"``, as in :func:`grace_sgd`.
     """
     n = len(g.workers())
-    components = tuple(objectives) if not isinstance(objectives, Objective) \
-        else (objectives,)
-    if len(components) != n:
+    if objective.parts != n:
         raise ValueError(f"need one component per worker "
-                         f"({n} workers, {len(components)} components)")
-    schedule = _planned(_leon_schedule, g, params, components[0].d, mode)
-    return _sgd("leon", components, oracle, schedule, max_iters, gamma,
+                         f"({n} workers, {objective.parts} components)")
+    schedule = _planned(_leon_schedule, g, params, objective.d, mode)
+    return _sgd("leon", objective, oracle, schedule, max_iters, gamma,
                 target_grad_sq)
 
 
@@ -396,7 +408,7 @@ def sync_sgd(g: WeightedGraph, objective: Objective,
     the lowest-id worker and back.
     """
     schedule = _planned(_sync_schedule, g, objective.d)
-    return _sgd("sync", (objective,), oracle, schedule, max_iters, gamma,
+    return _sgd("sync", objective, oracle, schedule, max_iters, gamma,
                 target_grad_sq)
 
 
@@ -411,6 +423,6 @@ def hero_sgd(objective: Objective, oracle: StochasticOracle,
     target = grace_target_batch(params)
     counts, elapsed = run_gradient_computation(
         [worker], {worker: finite[worker]}, lambda c: c[worker] >= target)
-    return _sgd("hero", (objective,), oracle,
+    return _sgd("hero", objective, oracle,
                 _minibatch(counts, elapsed, 0.0), max_iters, gamma,
                 target_grad_sq)

@@ -299,3 +299,56 @@ def central_difference_grad(f, x, step=1e-6):
         e[i] = step
         g[i] = (f(x + e) - f(x - e)) / (2 * step)
     return g
+
+
+def objective_components(kind, d, n, seed=0, L=1.0, delta=1.0,
+                         n_samples=None):
+    """The n explicit components whose mean ``make_objective`` computes.
+
+    Replays its seeded draws (the quadratic centres and start direction,
+    the logistic features, labels and row blocks) and returns one
+    namespace per component with ``d``, ``f``, ``grad``, ``L`` and
+    ``x0``; every component starts at the mean's start.
+    """
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        radius = math.sqrt(2.0 * delta / L)
+        centers = [rng.standard_normal(d) for _ in range(n)]
+        direction = rng.standard_normal(d)
+        direction /= np.linalg.norm(direction)
+        x0 = np.mean(centers, axis=0) + radius * direction
+        return tuple(
+            SimpleNamespace(
+                d=d, L=L, x0=x0,
+                f=lambda x, c=c: 0.5 * L * float(np.dot(x - c, x - c)),
+                grad=lambda x, c=c: L * (x - c))
+            for c in centers)
+
+    assert kind == "synthetic_logreg"
+    reg = 1e-3
+    m = n_samples or max(4 * d, 16)
+    A = rng.standard_normal((m, d)) / math.sqrt(d)
+    w_true = rng.standard_normal(d)
+    y = np.sign(A @ w_true + 0.3 * rng.standard_normal(m))
+    y[y == 0] = 1.0
+    size = m // n
+
+    def block(Ab, yb):
+        def f(x):
+            return float(np.mean(np.logaddexp(0.0, -yb * (Ab @ x)))
+                         + 0.5 * reg * np.dot(x, x))
+
+        def grad(x):
+            s = 1.0 / (1.0 + np.exp(yb * (Ab @ x)))
+            return (Ab.T @ (-yb * s)) / len(yb) + reg * x
+
+        return SimpleNamespace(
+            d=d, f=f, grad=grad, x0=np.zeros(d),
+            L=np.linalg.norm(Ab, 2) ** 2 / (4.0 * len(yb)) + reg)
+
+    return tuple(block(A[c * size:(c + 1) * size], y[c * size:(c + 1) * size])
+                 for c in range(n))

@@ -408,6 +408,24 @@ def test_experiment_grid_and_reruns_are_identical(tmp_path):
     assert len(summary) == 5
 
 
+@pytest.mark.parametrize("objective,times", [
+    ("quadratic", [("", "0"), ("840.0", "1")]),
+    ("synthetic_logreg", [("84.0", "1"), ("168.0", "1")])])
+def test_leon_reaches_the_target_at_the_recorded_times(tmp_path, objective,
+                                                       times):
+    # times recorded from the loop that summed one objective per worker:
+    # the closed-form mean moves the iterates by rounding only, so the
+    # same iterations reach the target
+    assert main(["experiment", "--gen", "clusters:12x3:b_slow=0.5",
+                 "--methods", "leon", "--seeds", "0:2", "--objective",
+                 objective, "--d", "16", "--sigma2", "1.6", "--max-iters",
+                 "100", "--target-grad-sq", "0.01",
+                 "--out", str(tmp_path)]) == 0
+    assert read_csv(tmp_path / "time_to_target.csv")[1:] == [
+        ["leon", str(seed), "0.01", t, hit]
+        for seed, (t, hit) in enumerate(times)]
+
+
 def test_experiment_store_forward_reaches_the_simulator(tmp_path):
     final = {}
     for comm in ("streamed", "store_forward"):

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowsgd import (ProblemParams, StochasticOracle, build_graph,
                      grace_sgd, hero_sgd, leon_sgd, leon_stop_rule,
@@ -34,13 +36,11 @@ def test_quadratic_starts_at_the_requested_gap():
 
 
 def test_quadratic_components_average_to_mean_center():
-    comps = quadratic(d=8, n_components=3, seed=1)
-    assert len(comps) == 3
-    mean_grad = sum(o.grad(comps[0].x0) for o in comps) / 3
-    centers_mean = comps[0].x0 - mean_grad  # L = 1
-    for o in comps:
-        assert np.allclose(o.x0, comps[0].x0)
-    assert np.allclose(sum(o.grad(centers_mean) for o in comps), 0.0,
+    mean = quadratic(d=8, n_components=3, seed=1)
+    assert mean.parts == 3
+    comps = oracles.objective_components("quadratic", 8, 3, seed=1)
+    centers = [o.x0 - o.grad(o.x0) for o in comps]  # L = 1
+    assert np.allclose(mean.grad(np.mean(centers, axis=0)), 0.0,
                        atol=1e-12)
 
 
@@ -53,16 +53,63 @@ def test_logreg_gradient_matches_central_differences():
 
 def test_logreg_components_partition_the_samples():
     full = make_objective("synthetic_logreg", 5, seed=7, n_samples=30)
-    parts = make_objective("synthetic_logreg", 5, seed=7, n_samples=30,
-                           n_components=3)
+    mean = make_objective("synthetic_logreg", 5, seed=7, n_samples=30,
+                          n_components=3)
+    parts = oracles.objective_components("synthetic_logreg", 5, 3, seed=7,
+                                         n_samples=30)
     x = np.linspace(-0.5, 0.5, 5)
-    assert sum(o.f(x) for o in parts) / 3 == pytest.approx(full.f(x),
-                                                           rel=1e-12)
-    assert np.allclose(sum(o.grad(x) for o in parts) / 3, full.grad(x))
+    assert mean.parts == 3
+    assert mean.f(x) == pytest.approx(sum(o.f(x) for o in parts) / 3,
+                                      rel=1e-12)
+    assert np.allclose(mean.grad(x), sum(o.grad(x) for o in parts) / 3,
+                       rtol=1e-12, atol=0.0)
+    assert mean.f(x) == pytest.approx(full.f(x), rel=1e-12)
+    assert np.allclose(mean.grad(x), full.grad(x), rtol=1e-12, atol=0.0)
     with pytest.raises(ValueError):
         make_objective("synthetic_logreg", 5, n_samples=10, n_components=3)
     with pytest.raises(ValueError):
         make_objective("parabola", 4)
+
+
+@given(st.sampled_from(["quadratic", "synthetic_logreg"]),
+       st.sampled_from([1, 2, 3, 7, 100]), st.integers(0, 10 ** 6),
+       st.integers(1, 9))
+@settings(max_examples=40)
+def test_mean_objective_is_the_average_of_its_components(kind, n, seed, d):
+    samples = None if kind == "quadratic" \
+        else math.ceil(max(4 * d, 16) / n) * n
+    mean = make_objective(kind, d, n_components=n, seed=seed, L=1.5,
+                          delta=2.0, n_samples=samples)
+    parts = oracles.objective_components(kind, d, n, seed=seed, L=1.5,
+                                         delta=2.0, n_samples=samples)
+    assert mean.parts == n
+    assert mean.L == max(o.L for o in parts)
+    for o in parts:
+        assert np.array_equal(mean.x0, o.x0)
+    rng = np.random.default_rng(seed)
+    for x in (mean.x0, rng.standard_normal(d), 3.0 * rng.standard_normal(d)):
+        assert mean.f(x) == pytest.approx(sum(o.f(x) for o in parts) / n,
+                                          rel=1e-12)
+        average = sum(o.grad(x) for o in parts) / n
+        assert np.linalg.norm(mean.grad(x) - average) \
+            <= 1e-12 * np.linalg.norm(average)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "synthetic_logreg"])
+@pytest.mark.parametrize("kw,name", [
+    ({"d": 0}, "d"), ({"d": 2.5}, "d"), ({"d": True}, "d"),
+    ({"n_components": 0}, "n_components"),
+    ({"n_components": -2}, "n_components"),
+    ({"n_components": 1.0}, "n_components"),
+    ({"L": 0.0}, "L"), ({"L": -1.0}, "L"), ({"L": math.inf}, "L"),
+    ({"L": math.nan}, "L"),
+    ({"delta": -1.0}, "delta"), ({"delta": math.inf}, "delta"),
+    ({"delta": math.nan}, "delta"),
+    ({"n_samples": 0}, "n_samples"), ({"n_samples": -8}, "n_samples")])
+def test_make_objective_rejects_bad_arguments(kind, kw, name):
+    args = {"d": 4, **kw}
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        make_objective(kind, **args)
 
 
 def test_oracle_streams_are_reproducible():
@@ -218,8 +265,9 @@ def test_leon_matches_grace_with_identical_components():
     p = params(d=4.0, sigma2=0.4, epsilon=0.1)  # target batch 4
     oracle = StochasticOracle(obj, 0.4, seed=2)
     grace = grace_sgd(g, obj, oracle, p, max_iters=5)
-    leon = leon_sgd(g, (obj, obj), StochasticOracle((obj, obj), 0.4, seed=2),
-                    p, max_iters=5)
+    both = dataclasses.replace(obj, parts=2)
+    leon = leon_sgd(g, both, StochasticOracle(both, 0.4, seed=2), p,
+                    max_iters=5)
     for a, b in zip(grace.rows, leon.rows):
         assert a[0] == b[0]
         assert a[1] == pytest.approx(b[1])
@@ -229,7 +277,8 @@ def test_leon_matches_grace_with_identical_components():
 def test_leon_needs_one_component_per_worker(five_node):
     obj = quadratic(d=4)
     with pytest.raises(ValueError, match="component"):
-        leon_sgd(five_node, (obj, obj), StochasticOracle(obj, 0.0),
+        leon_sgd(five_node, dataclasses.replace(obj, parts=2),
+                 StochasticOracle(obj, 0.0),
                  params(d=4.0), max_iters=1)
 
 

@@ -3,8 +3,17 @@
 ``_reference_minibatch_sgd`` (grace, sync and hero) and
 ``reference_leon_sgd`` are the earlier loops, kept here verbatim with the
 ``_loop`` driver they shared and the schedule code each method ran inline.
-Every trace of the library's methods must agree with them exactly
-(``==``, not approximately): same rows, status and communication total.
+grace, sync and hero traces must agree with them exactly (``==``, not
+approximately): same rows, status and communication total.
+
+leon trains on one objective, the closed-form mean of its components,
+while ``reference_leon_sgd`` sums the explicit components that
+``oracles.objective_components`` replays from ``make_objective``'s seeded
+draws.  The two differ only in rounding, so leon's method, row count,
+iterations, times, batches, status and communication total are still
+compared with ``==``; only its ``grad_norm_sq`` and ``f_value`` are
+compared to a relative 1e-9 (the mean's gradient near the minimum
+cancels most digits: the worst case seen was 2.2e-13).
 """
 
 import dataclasses
@@ -13,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from flowsgd import (Objective, ProblemParams, StochasticOracle,
                      TrainingTrace, find_fastest_subset,
                      finite_bandwidth_proxy, gomory_hu_tree, grace_sgd,
@@ -201,18 +211,31 @@ def _graphs():
 
 
 def _objectives(kind, d, n, seed):
-    if kind == "quadratic":
-        return (make_objective(kind, d, seed=seed),
-                make_objective(kind, d, n_components=n, seed=seed))
-    samples = 8 * n
+    """The single objective, leon's mean of n, and its n components."""
+    samples = None if kind == "quadratic" else 8 * n
     return (make_objective(kind, d, seed=seed, n_samples=samples),
             make_objective(kind, d, n_components=n, seed=seed,
-                           n_samples=samples))
+                           n_samples=samples),
+            oracles.objective_components(kind, d, n, seed=seed,
+                                         n_samples=samples))
 
 
 def _assert_same(trace, ref):
     assert trace.method == ref.method
     assert trace.rows == ref.rows
+    assert trace.status == ref.status
+    assert trace.comm_seconds == ref.comm_seconds
+
+
+def _assert_same_up_to_rounding(trace, ref):
+    """``==`` except for ‖∇F‖² and F, which match to a relative 1e-9."""
+    assert trace.method == ref.method
+    assert len(trace.rows) == len(ref.rows)
+    for (k, t, gsq, fv, batch), (rk, rt, rgsq, rfv, rbatch) in zip(
+            trace.rows, ref.rows):
+        assert (k, t, batch) == (rk, rt, rbatch)
+        assert gsq == pytest.approx(rgsq, rel=1e-9)
+        assert fv == pytest.approx(rfv, rel=1e-9)
     assert trace.status == ref.status
     assert trace.comm_seconds == ref.comm_seconds
 
@@ -230,7 +253,7 @@ def test_every_method_matches_its_reference_loop(graph, kind, sigma2, gamma,
     d, seed, iters = 8, 4, 12
     p = ProblemParams(d=float(d), sigma2=sigma2, epsilon=0.2, L=1.0,
                       delta=1.0)
-    single, parts = _objectives(kind, d, len(g.workers()), seed)
+    single, mean, parts = _objectives(kind, d, len(g.workers()), seed)
     kw = {"gamma": gamma, "target_grad_sq": target}
 
     def oracle(objs):
@@ -239,8 +262,9 @@ def test_every_method_matches_its_reference_loop(graph, kind, sigma2, gamma,
     _assert_same(grace_sgd(g, single, oracle(single), p, iters, **kw),
                  reference_grace_sgd(g, single, oracle(single), p, iters,
                                      **kw))
-    _assert_same(leon_sgd(g, parts, oracle(parts), p, iters, **kw),
-                 reference_leon_sgd(g, parts, oracle(parts), p, iters, **kw))
+    _assert_same_up_to_rounding(
+        leon_sgd(g, mean, oracle(mean), p, iters, **kw),
+        reference_leon_sgd(g, parts, oracle(mean), p, iters, **kw))
     _assert_same(sync_sgd(g, single, oracle(single), p, iters, **kw),
                  reference_sync_sgd(g, single, oracle(single), p, iters,
                                     **kw))
@@ -252,12 +276,12 @@ def test_every_method_matches_its_reference_loop(graph, kind, sigma2, gamma,
 def test_the_early_stop_cases_stop_early():
     # the target cases above exercise the early stop, not only max_iters
     g = _graphs()["star"]
-    single, parts = _objectives("quadratic", 8, len(g.workers()), 4)
+    single, mean, _ = _objectives("quadratic", 8, len(g.workers()), 4)
     p = ProblemParams(d=8.0, sigma2=0.0, epsilon=0.2, L=1.0, delta=1.0)
     for trace in (
             grace_sgd(g, single, StochasticOracle(single, 0.0), p, 12,
                       target_grad_sq=0.05),
-            leon_sgd(g, parts, StochasticOracle(parts, 0.0), p, 12,
+            leon_sgd(g, mean, StochasticOracle(mean, 0.0), p, 12,
                      target_grad_sq=0.05)):
         assert trace.status == "reached_target"
         assert len(trace.rows) < 13
