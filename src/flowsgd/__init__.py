@@ -26,9 +26,9 @@ from .simulator import (SimSchedule, SimTimeoutError, SimTrace, TraceEvent,
                         run_gradient_computation, run_naive_sync_round,
                         run_separate_transfers, shared_edge_rates)
 from .analyzer import (ComplexityReport, TradeoffReport, grace_complexity,
-                       hero_sgd_complexity, iteration_count, latency_adjusted,
-                       leon_complexity, sync_sgd_complexity,
-                       topology_closed_form, tradeoff_bounds)
+                       hero_sgd_complexity, iteration_count, leon_complexity,
+                       sync_sgd_complexity, topology_closed_form,
+                       tradeoff_bounds)
 from .optimizers import (Objective, StochasticOracle, TrainingTrace,
                          grace_sgd, hero_sgd, leon_sgd, make_objective,
                          sync_sgd)
@@ -51,9 +51,8 @@ __all__ = [
     "audit_capacity", "run_allreduce", "run_gradient_computation",
     "run_naive_sync_round", "run_separate_transfers", "shared_edge_rates",
     "ComplexityReport", "TradeoffReport", "grace_complexity",
-    "hero_sgd_complexity", "iteration_count", "latency_adjusted",
-    "leon_complexity", "sync_sgd_complexity", "topology_closed_form",
-    "tradeoff_bounds",
+    "hero_sgd_complexity", "iteration_count", "leon_complexity",
+    "sync_sgd_complexity", "topology_closed_form", "tradeoff_bounds",
     "Objective", "StochasticOracle", "TrainingTrace", "grace_sgd",
     "hero_sgd", "leon_sgd", "make_objective", "sync_sgd",
     "topologies",

@@ -351,29 +351,3 @@ def tradeoff_bounds(g: WeightedGraph, params: ProblemParams):
     return TradeoffReport(k_of_m, n_of_m, by_degree, best_deg[1],
                           by_count, best_cnt[1], solo)
 
-
-def latency_adjusted(report: ComplexityReport, ell_max,
-                     params: ProblemParams):
-    """Account for per-message link latencies on top of a report.
-
-    Adds one ``ell_max`` per iteration whenever the report's winning
-    regime actually communicates; a communication-free regime is
-    untouched.  Large-d totals are asymptotically unchanged.
-    """
-    if ell_max < 0:
-        raise ValueError("latency must be nonnegative")
-    if ell_max == 0 or report.terms.get("communication", 0.0) == 0.0:
-        return report
-    extra = ell_max * iteration_count(params, report.mode)
-    if report.combine == "sum":
-        terms = dict(report.terms)
-        terms["latency"] = extra
-        return ComplexityReport(report.method, report.mode,
-                                report.total + extra, terms, "sum",
-                                regime=report.regime,
-                                notes=report.notes).check()
-    terms = {"core": report.total, "latency": extra}
-    return ComplexityReport(report.method, report.mode,
-                            report.total + extra, terms, "sum",
-                            regime=report.regime,
-                            notes=report.notes).check()

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 from .analyzer import (grace_complexity, hero_sgd_complexity,
                        leon_complexity, sync_sgd_complexity,
                        tradeoff_bounds)
-from .graph_core import (INFINITY, WeightedGraph, finite_bandwidth_proxy,
-                         gomory_hu_tree, parse_topology, serialize_topology,
-                         unit_multigraph)
-from .optimizers import (StochasticOracle, _all_infinite_bandwidth,
-                         grace_sgd, hero_sgd, leon_sgd, make_objective,
-                         sync_sgd)
+from .graph_core import (INFINITY, WeightedGraph, all_infinite_bandwidth,
+                         finite_bandwidth_proxy, gomory_hu_tree,
+                         parse_topology, unit_multigraph)
+from .optimizers import (StochasticOracle, grace_sgd, hero_sgd, leon_sgd,
+                         make_objective, sync_sgd)
 from .selection import ProblemParams, find_fastest_subset
 from .simulator import run_allreduce
 from .steiner_packing import pack_steiner_trees
@@ -50,19 +49,22 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run needs, resolved and validated."""
+    """Everything one run needs, resolved and validated.
+
+    A field the command has no flag for is None.
+    """
 
     graph: WeightedGraph
     params: ProblemParams
     methods: tuple
-    objective: str
+    objective: str | None
     seeds: tuple
     out_dir: str
-    analysis_mode: str = "constants"
-    comm_mode: str = "streamed"
-    max_iters: int = 200
-    target_grad_sq: float | None = None
-    max_sim_seconds: float = INFINITY
+    analysis_mode: str | None
+    comm_mode: str | None
+    max_iters: int | None
+    target_grad_sq: float | None
+    max_sim_seconds: float
 
     def __post_init__(self):
         if not self.seeds:
@@ -78,7 +80,7 @@ class ExperimentConfig:
         if len(set(self.methods)) < len(self.methods):
             raise UsageError("--methods repeats a method: "
                              f"{','.join(self.methods)}")
-        if self.max_iters < 0:
+        if self.max_iters is not None and self.max_iters < 0:
             raise UsageError(f"--max-iters must be nonnegative, got "
                              f"{self.max_iters}")
         if self.target_grad_sq is not None \
@@ -157,20 +159,20 @@ def _load_graph(args):
 
 def _config(args, methods, seeds):
     out = args.out or os.environ.get(OUT_ENV) or "."
-    cap = getattr(args, "max_sim_seconds", None)
+    cap = args.max_sim_seconds
     cfg = ExperimentConfig(
         graph=_load_graph(args),
         params=ProblemParams(d=args.d, sigma2=args.sigma2,
                              epsilon=args.epsilon, L=args.lipschitz,
                              delta=args.delta),
         methods=tuple(methods),
-        objective=getattr(args, "objective", "quadratic"),
+        objective=args.objective,
         seeds=tuple(seeds),
         out_dir=out,
-        analysis_mode=getattr(args, "mode", "constants"),
-        comm_mode=getattr(args, "comm", "streamed"),
-        max_iters=getattr(args, "max_iters", 200),
-        target_grad_sq=getattr(args, "target_grad_sq", None),
+        analysis_mode=args.mode,
+        comm_mode=args.comm,
+        max_iters=args.max_iters,
+        target_grad_sq=args.target_grad_sq,
         max_sim_seconds=INFINITY if cap is None else cap,
     )
     # every command but analyze builds vectors of d coordinates
@@ -309,7 +311,7 @@ def cmd_plan(cfg):
     # relay switches in S* forward but never compute: pack the workers
     workers = [v for v in choice.subset if math.isfinite(g.h[v])]
     schedule_path = os.path.join(cfg.out_dir, "schedule.json")
-    if len(workers) < 2 or _all_infinite_bandwidth(g):
+    if len(workers) < 2 or all_infinite_bandwidth(g):
         if len(workers) < 2:
             notice = "single-worker plan: no trees needed"
             line = "single worker, nothing to pack"
@@ -344,18 +346,19 @@ def cmd_plan(cfg):
 # == simulate / experiment ==
 
 def _objective_for(method, cfg, seed):
+    """Every method trains on the same data; leon splits it into one
+    component per worker, so the logreg rows round up to a multiple of
+    the worker count."""
     n = len(cfg.graph.workers())
-    if method == "leon":
-        samples = None
-        if cfg.objective == "synthetic_logreg":
-            base = max(4 * int(cfg.params.d), 16)
-            samples = math.ceil(base / n) * n
-        return make_objective(cfg.objective, int(cfg.params.d),
-                              n_components=n, seed=seed,
-                              L=cfg.params.L, delta=cfg.params.delta,
-                              n_samples=samples)
-    return make_objective(cfg.objective, int(cfg.params.d), seed=seed,
-                          L=cfg.params.L, delta=cfg.params.delta)
+    d = int(cfg.params.d)
+    samples = None
+    if cfg.objective == "synthetic_logreg":
+        k = max(n, 1)  # without workers the method reports the error
+        samples = math.ceil(max(4 * d, 16) / k) * k
+    return make_objective(cfg.objective, d,
+                          n_components=n if method == "leon" else 1,
+                          seed=seed, L=cfg.params.L, delta=cfg.params.delta,
+                          n_samples=samples)
 
 
 def _run_cell(cfg, method, seed):
@@ -463,6 +466,11 @@ def build_parser():
         prog="flowsgd",
         description="Bandwidth-aware planning and simulated training "
                     "for decentralized SGD.")
+    # each command's flags override these; a command without the flag
+    # leaves its field None
+    parser.set_defaults(mode=None, comm=None, objective=None,
+                        max_iters=None, target_grad_sq=None,
+                        max_sim_seconds=None)
     subs = parser.add_subparsers(dest="command", required=True)
 
     an = subs.add_parser("analyze", help="time-complexity tables")

@@ -634,6 +634,12 @@ def finite_bandwidth_proxy(g):
     return g._finite_proxy
 
 
+def all_infinite_bandwidth(g):
+    """True when every link is infinite: communication is then free, and
+    :func:`finite_bandwidth_proxy` has nothing to scale against."""
+    return all(b == INFINITY for b in g.bandwidth.values())
+
+
 # == Leaf/branch peeling ==
 
 @dataclass(frozen=True)

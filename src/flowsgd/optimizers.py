@@ -26,15 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import (WeightedGraph, finite_bandwidth_proxy,
-                         gomory_hu_tree, unit_multigraph)
+from .graph_core import (WeightedGraph, all_infinite_bandwidth,
+                         finite_bandwidth_proxy, gomory_hu_tree,
+                         unit_multigraph)
 from .selection import (ProblemParams, find_fastest_subset,
                         grace_target_batch, leon_stop_rule)
 from .simulator import (run_allreduce, run_gradient_computation,
                         run_naive_sync_round)
 from .steiner_packing import pack_steiner_trees
-
-INFINITY = math.inf
 
 
 @dataclass(frozen=True)
@@ -235,13 +234,9 @@ class TrainingTrace:
         return buf.getvalue().encode()
 
 
-def _all_infinite_bandwidth(g):
-    return all(b == INFINITY for b in g.bandwidth.values())
-
-
 def _allreduce_seconds(g, terminals, d, mode):
     """Simulated time of one AllReduce among ``terminals`` (0 if alone)."""
-    if len(terminals) < 2 or d == 0 or _all_infinite_bandwidth(g):
+    if len(terminals) < 2 or d == 0 or all_infinite_bandwidth(g):
         return 0.0
     g = finite_bandwidth_proxy(g)
     mg = unit_multigraph(g)
@@ -394,7 +389,7 @@ def _sync_schedule(g, d):
     _, elapsed = run_gradient_computation(workers, g.h,
                                           lambda c: all(c.values()))
     comm = run_naive_sync_round(g, workers[0], d).completion_time \
-        if len(g.nodes) > 1 and not _all_infinite_bandwidth(g) else 0.0
+        if len(g.nodes) > 1 and not all_infinite_bandwidth(g) else 0.0
     return _minibatch(dict.fromkeys(workers, 1), elapsed, comm)
 
 

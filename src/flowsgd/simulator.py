@@ -72,18 +72,16 @@ class TraceEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class SimSchedule:
+    """Block j of ``block_size`` coordinates streams through tree j."""
+
     pivot: int
     block_size: int
-    # block index -> tree index (identity); the blocks of one tree
-    # shape's copies stream together
-    blocks: tuple
-    phases: tuple  # ("reduce", "broadcast") or ("reduce",)
+    phases: tuple  # ("reduce", "broadcast"); () when there is no tree
 
     def to_dict(self):
         return {
             "pivot": self.pivot,
             "block_size": self.block_size,
-            "blocks": list(self.blocks),
             "phases": list(self.phases),
         }
 
@@ -200,11 +198,10 @@ def _stream(arcs, latency, rate, size, slot, copies):
 def _reduce_broadcast(g, pivot, trees, rate, size, pipelined, head):
     """Trace a reduce up every tree, a barrier, then a broadcast down.
 
-    ``trees()`` yields one ``(detail, up, copies)`` per tree, ``up`` its
-    arcs ``(a, b, name)`` in feeding order toward ``pivot``; it is called
-    once per phase, so a tree's arcs exist only while that phase streams
-    it.  Once the last reduce has arrived, each tree streams its reversed
-    arcs in reverse order.  A tree stands for ``copies`` trees on the
+    ``trees`` holds one ``(detail, up, copies)`` per tree, ``up`` its
+    arcs ``(a, b, name)`` in feeding order toward ``pivot``.  Once the
+    last reduce has arrived, each tree streams its reversed arcs in
+    reverse order.  A tree stands for ``copies`` trees on the
     same links: every arc carries ``copies * size`` coordinates at
     ``copies`` times ``rate``, timed by :func:`_stream` with a per-hop
     slot of one coordinate if ``pipelined``, else of all of them.  A flow
@@ -215,7 +212,7 @@ def _reduce_broadcast(g, pivot, trees, rate, size, pipelined, head):
     carried = {}  # directed link -> coordinates
     offset = done = 0.0
     for phase in ("reduce", "broadcast"):
-        for detail, up, copies in trees():
+        for detail, up, copies in trees:
             into = f"{detail};{head}" if head else detail
             arcs = up if phase == "reduce" else \
                 [(b, a, name) for a, b, name in reversed(up)]
@@ -244,7 +241,8 @@ def run_allreduce(g: WeightedGraph, packing: TreePacking, d, mode="streamed"):
     instance of the unit multigraph, good for ``1/scale`` coordinates per
     second, so the ``k`` copies of one tree shape
     (:meth:`TreePacking.shapes`) stream as one tree: ``k`` blocks at
-    ``k/scale`` per arc, traced under the first copy's name.  The
+    ``k/scale`` per arc, traced under the first copy's name.  Each shape
+    is oriented toward the pivot once, and both phases stream it.  The
     broadcast phase starts after every tree's reduce has completed (one
     barrier, as in the two-phase schedule), reusing each tree with
     reversed orientation — disjointness of the reduce arcs then carries
@@ -265,27 +263,20 @@ def run_allreduce(g: WeightedGraph, packing: TreePacking, d, mode="streamed"):
                 raise ValueError(
                     f"packing/graph mismatch: tree {ti} instance {(u, v, c)}")
 
-    p = packing.p
-    if p == 0:
-        return _finish_trace([], {}), SimSchedule(packing.pivot, 0, (), ())
+    if packing.p == 0:
+        return _finish_trace([], {}), SimSchedule(packing.pivot, 0, ())
 
-    block = math.ceil(d / p)
-
-    shapes = packing.shapes()
-
-    def trees():
-        for ti, k in shapes:
-            yield f"block={ti}" + (f";copies={k}" if k > 1 else ""), [
-                (a, b, f"t{ti}/{u}-{v}#{c}") for a, b, (u, v, c)
-                in reversed(orient_to_pivot(packing.trees[ti],
-                                            packing.pivot))], k
-
+    block = math.ceil(d / packing.p)
+    trees = [(f"block={ti}" + (f";copies={k}" if k > 1 else ""),
+              [(a, b, f"t{ti}/{u}-{v}#{c}") for a, b, (u, v, c)
+               in reversed(orient_to_pivot(packing.trees[ti],
+                                           packing.pivot))], k)
+             for ti, k in packing.shapes()]
     trace = _reduce_broadcast(
         g, packing.pivot, trees, dict.fromkeys(g.bandwidth, mg.unit_rate),
         block, mode == "streamed",
         f"size={block};contrib={len(packing.terminals)}")
-    return trace, SimSchedule(packing.pivot, block, tuple(range(p)),
-                              ("reduce", "broadcast"))
+    return trace, SimSchedule(packing.pivot, block, ("reduce", "broadcast"))
 
 
 def _utilization(carried, g, completion):
@@ -337,8 +328,8 @@ def run_naive_sync_round(g: WeightedGraph, pivot, d):
     if len(order) != len(g.nodes):
         raise ValueError("graph is disconnected")
     up = [(c, parent[c], f"{c}-{parent[c]}") for c in reversed(order[1:])]
-    return _reduce_broadcast(g, pivot, lambda: [("", up, 1)], g.bandwidth,
-                             d, True, "")
+    return _reduce_broadcast(g, pivot, [("", up, 1)], g.bandwidth, d, True,
+                             "")
 
 
 # == Contending point-to-point transfers ==
@@ -387,16 +378,8 @@ def shared_edge_rates(flows, bandwidth):
 
 
 def _shortest_path(g, src, dst):
-    parent = {src: None}
-    frontier = [src]
-    while frontier and dst not in parent:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
+    """Hop-shortest path from ``src`` to ``dst``: :func:`_bfs_tree`'s."""
+    parent, _ = _bfs_tree(g, src)
     if dst not in parent:
         raise ValueError(f"no path {src} -> {dst}")
     path = []

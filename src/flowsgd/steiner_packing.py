@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph_core import UndirectedView, UnitMultigraph, min_S_cut
 
@@ -40,6 +41,13 @@ class SteinerTree:
         return out
 
 
+def _ratio(packing):
+    """Trees per unit of min S-cut, p / alpha; 0.0 when alpha is infinite."""
+    if packing.alpha == INFINITY:
+        return 0.0
+    return packing.p / packing.alpha
+
+
 @dataclass(frozen=True)
 class TreePacking:
     trees: tuple
@@ -51,24 +59,25 @@ class TreePacking:
     def p(self):
         return len(self.trees)
 
-    @property
-    def ratio(self):
-        if self.alpha == INFINITY:
-            return 0.0
-        return self.p / self.alpha
+    ratio = property(_ratio)
 
-    def shapes(self):
-        """``(first tree index, copies)`` per distinct tree shape.
-
-        Trees have the same shape when they use the same links, whatever
-        the copy indices; shapes come in order of first appearance.
-        """
+    @cached_property
+    def _shapes(self):
         copies = {}
         for ti, tree in enumerate(self.trees):
             links = frozenset((u, v) for u, v, _ in tree.edges)
             first, k = copies.get(links, (ti, 0))
             copies[links] = (first, k + 1)
         return list(copies.values())
+
+    def shapes(self):
+        """``(first tree index, copies)`` per distinct tree shape.
+
+        Trees have the same shape when they use the same links, whatever
+        the copy indices; shapes come in order of first appearance.  The
+        grouping is made once per packing and returned on every call.
+        """
+        return self._shapes
 
     def to_dict(self):
         return {
@@ -90,11 +99,7 @@ class PackingReport:
     p: int
     alpha: float
 
-    @property
-    def ratio(self):
-        if self.alpha == INFINITY:
-            return 0.0
-        return self.p / self.alpha
+    ratio = property(_ratio)
 
 
 def min_S_cut_multigraph(mg: UnitMultigraph, S):

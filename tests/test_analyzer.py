@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowsgd import (INFINITY, ProblemParams, build_graph, grace_complexity,
-                     hero_sgd_complexity, iteration_count, latency_adjusted,
+                     hero_sgd_complexity, iteration_count,
                      leon_complexity, min_S_cut, sync_sgd_complexity,
                      topology_closed_form, tradeoff_bounds)
 from flowsgd import topologies
@@ -239,45 +239,6 @@ def test_tradeoff_requires_uniformity(five_node):
     slow = dataclasses.replace(g, h={1: 1.0, 2: 2.0, 3: 1.0, 4: 1.0})
     with pytest.raises(ValueError):
         tradeoff_bounds(slow, params())
-
-
-# == latency adjustment ==
-
-def test_latency_zero_is_identity():
-    rep = grace_complexity(topologies.star(4), params())
-    assert latency_adjusted(rep, 0.0, params()) is rep
-
-
-def test_latency_skips_communication_free_reports():
-    rep = hero_sgd_complexity(params(), {1: 1.0})
-    assert latency_adjusted(rep, 5.0, params()) is rep
-
-
-def test_latency_adds_one_hop_per_iteration():
-    p = params(d=4.0, sigma2=2.0, epsilon=0.1)
-    rep = grace_complexity(topologies.star(4, b=2.0), p)
-    assert rep.terms["communication"] > 0
-    adj = latency_adjusted(rep, 0.5, p)
-    assert_close(adj.terms["latency"], 0.5 * iteration_count(p, "constants"))
-    assert_close(adj.total, rep.total + adj.terms["latency"])
-    with pytest.raises(ValueError):
-        latency_adjusted(rep, -1.0, p)
-
-
-def test_latency_wraps_max_combined_reports():
-    p = params(d=50.0)
-    rep = leon_complexity(topologies.star(4), p)
-    adj = latency_adjusted(rep, 0.25, p)
-    assert set(adj.terms) == {"core", "latency"}
-    assert adj.combine == "sum"
-    assert_close(adj.total, rep.total + adj.terms["latency"])
-
-
-def test_latency_never_dominates_large_vectors():
-    p = params(d=1e8, sigma2=2.0, epsilon=0.1)
-    rep = sync_sgd_complexity(topologies.star(4, b=2.0), p)
-    adj = latency_adjusted(rep, 1.0, p)
-    assert adj.terms["latency"] / adj.total < 0.01
 
 
 # == cross-method dominance ==

@@ -426,6 +426,29 @@ def test_leon_reaches_the_target_at_the_recorded_times(tmp_path, objective,
         for seed, (t, hit) in enumerate(times)]
 
 
+def test_every_method_trains_on_the_same_logreg_rows(tmp_path):
+    # 64 rows round up to 72 so leon can split them over 12 workers; the
+    # other methods train on the same 72, so from x0 = 0 every method
+    # starts at the same gradient
+    assert main(["experiment", "--gen", "clusters:12x3:b_slow=0.5",
+                 "--objective", "synthetic_logreg", "--d", "16",
+                 "--methods", "grace,leon", "--out", str(tmp_path)]) == 0
+    start = {r[0]: r[4] for r in read_csv(tmp_path / "runs.csv")[1:]
+             if r[2] == "0"}
+    assert start["grace"] == start["leon"]
+
+
+def test_logreg_on_a_graph_without_workers_is_a_domain_error(tmp_path):
+    path = tmp_path / "relays.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": 1, "h": "inf"}, {"id": 2, "h": "inf"}],
+        "links": [{"a": 1, "b": 2, "bandwidth": 1}]}))
+    for method in ("grace", "leon"):
+        assert main(["experiment", str(path), "--objective",
+                     "synthetic_logreg", "--methods", method,
+                     "--out", str(tmp_path / method)]) == 1
+
+
 def test_experiment_store_forward_reaches_the_simulator(tmp_path):
     final = {}
     for comm in ("streamed", "store_forward"):

@@ -294,7 +294,7 @@ def test_copies_of_a_shape_stream_as_one_tree():
     pk = packed(g)
     assert pk.p == 6 and pk.shapes() == [(0, 3), (3, 3)]
     trace, schedule = run_allreduce(g, pk, 600)
-    assert schedule.blocks == tuple(range(6))
+    assert schedule.block_size == 100
     flows = [e for e in trace.events if e.event_kind == "flow_done"]
     assert len(flows) == 2 * 2 * 7
     assert {e.flow_id.split("/")[1] for e in flows} == {"t0", "t3"}
