@@ -7,9 +7,15 @@ bandwidth.  On top of that it provides the cut toolbox everything else is
 built on:
 
 ==================  =========================================================
-``max_flow_min_cut``  exact min s-t cut on the undirected bandwidth view
+``max_flow_min_cut``  exact min s-t cut on the undirected bandwidth view;
+                      its value is the ``math.fsum`` of the capacities
+                      leaving the smallest source side
 ``gomory_hu_tree``    all-pairs min cuts in n-1 tree edges, cached per graph;
-                      its flows share one residual network
+                      its flows share one residual network, and an s-t
+                      flow stops at the nearest member of a super-sink T:
+                      t and each earlier source x with λ(x, t) >= deg(s).
+                      The cut is unchanged: λ(s, t) >= min(λ(s, T),
+                      λ(x, t)), and no s-t cut below deg(s) splits x from t
 ``min_S_cut``         smallest cut separating at least two nodes of a set
 ``unit_multigraph``   integral rescaling into unit-capacity parallel edges,
                       cached per graph
@@ -242,8 +248,27 @@ class _FlowNetwork:
     Infinite links are contracted (the smallest id represents its
     component) and the finite links between two components merged into
     one link, whose two arcs ``a`` and ``a ^ 1`` are each the other's
-    residual.  Each :meth:`min_cut` resets the residual capacities to the
-    base ones in place, so flows never see each other's state.
+    residual.  Each :meth:`min_cut` resets the arcs the last flow pushed
+    along to their base capacities, so flows never see each other's
+    residual state.
+
+    The network remembers the first cut computed from each component x:
+    its sink t_x and its value w_x = λ(x, t_x).  A later flow from s to t
+    goes to a super-sink T that holds t and every x != s with t_x = t and
+    w_x >= deg(s).  The result is the same as with T = {t}:
+
+    - λ(s, t) >= min(λ(s, T), min over x of λ(x, t)), since a minimum
+      s-t cut either separates s from all of T or is an x-t cut; and
+      λ(s, t) <= λ(s, T), since every s-T cut is an s-t cut.  As
+      λ(s, T) <= deg(s) <= w_x, the two values are equal.
+    - An s-t cut below deg(s) leaves all of T on t's side (one with x on
+      s's side is an x-t cut, of at least w_x).  So when λ(s, t) <
+      deg(s), the minimum s-t and s-T cuts are the same cuts; otherwise
+      {s} is the smallest source side of both.
+
+    Degrees and cut values are ``math.fsum`` sums of base capacities:
+    each is correctly rounded, and a cut's value does not depend on the
+    paths its flow took.
     """
 
     def __init__(self, und):
@@ -269,95 +294,124 @@ class _FlowNetwork:
         self.arcs = [[] for _ in reps]  # arc ids out of each component
         self.head = []  # component each arc points to
         self.base = []  # capacity of each arc before any flow
-        self.degree = [0.0] * len(reps)  # total capacity of its links
         for (iu, iv), w in sorted(merged.items()):
             self.arcs[iu].append(len(self.head))
             self.arcs[iv].append(len(self.head) + 1)
             self.head += (iv, iu)
             self.base += (w, w)
-            self.degree[iu] += w
-            self.degree[iv] += w
+        # total capacity of each component's links
+        self.degree = [math.fsum(self.base[a] for a in out)
+                       for out in self.arcs]
         self.cap = list(self.base)
+        self.touched = []  # arcs a flow pushed along since the last reset
         # residual capacities below this are exhausted
         self.eps = max(self.base, default=1.0) * _FLOW_EPS
+        # sink and value of the first cut from each component (-1: none)
+        self.cut_sink = [-1] * len(reps)
+        self.cut_value = [0.0] * len(reps)
 
     def min_cut(self, s, t):
         """Minimum s-t cut; ``side`` is everything reachable from ``s``
-        in the final residual network, the smallest source side."""
+        in the final residual network, the smallest source side, and
+        ``value`` the ``math.fsum`` of the base capacities leaving it."""
         cs, ct = self.component[s], self.component[t]
         if cs == ct:
             return CutResult(INFINITY, self.everything)
-        self.cap[:] = self.base
-        value, reach = self._max_flow(cs, ct)
+        cap, base = self.cap, self.base
+        for a in self.touched:
+            cap[a], cap[a ^ 1] = base[a], base[a ^ 1]
+        self.touched.clear()
+        reach = self._max_flow(cs, ct)
+        inside = set(reach)
+        head = self.head
+        value = math.fsum(base[a] for i in reach for a in self.arcs[i]
+                          if head[a] not in inside)
+        if self.cut_sink[cs] < 0:
+            self.cut_sink[cs] = ct
+            self.cut_value[cs] = value
         return CutResult(value, frozenset(
             v for i in reach for v in self.members[i]))
 
     def _max_flow(self, s, t):
-        """Dinic's blocking flows; returns the value and the components
-        reachable from ``s`` in the final residual network.
+        """Dinic's blocking flows from ``s`` to the super-sink of ``t``;
+        returns the components reachable from ``s`` in the final residual
+        network.
 
-        No s-t cut exceeds the smaller terminal degree, so a flow that
-        reaches it (up to rounding) is maximum unless float slack still
-        leaves an augmenting path; only then does the search go on.
-        Either way the pushes are those of a run to exhaustion.
+        No s-t cut exceeds the smaller terminal degree, and the flow to
+        the super-sink has the s-t value, so a flow that reaches that
+        degree (up to rounding) is maximum unless float slack still leaves
+        an augmenting path; only then does the search go on.  Either way
+        the pushes are those of a run to exhaustion.  The flow's own value
+        is not returned: :meth:`min_cut` sums the capacities leaving the
+        side, which does not depend on the paths the pushes took.
         """
         bound = min(self.degree[s], self.degree[t]) * (1 - 1e-9)
         total = 0.0
         while True:
-            level, reach = self._levels(s, t)
-            if level[t] < 0:
-                return total, reach
+            level, queue = self._levels(s, t)
+            if level[s] < 0:
+                return queue
+            # the sinks reached are the live nodes of the deepest level,
+            # which closes the queue
+            bottom = next(level[u] for u in reversed(queue) if level[u] >= 0)
             it = [0] * len(level)
             while True:
-                pushed = self._push(s, t, level, it)
+                pushed = self._push(s, bottom, level, it)
                 if pushed <= 0:
                     break
                 total += pushed
                 if total >= bound:
                     done, reach = self._levels(s, t)
-                    if done[t] < 0:
-                        return total, reach
+                    if done[s] < 0:
+                        return reach
                     bound = INFINITY
 
     def _levels(self, s, t):
-        """Residual distances from ``s`` of the nodes on shortest s-t paths.
+        """Residual distances from ``s`` of the nodes on shortest paths to
+        the super-sink of ``t`` (see the class docstring).
 
-        Returns ``(level, queue)``.  The breadth-first search stops at
-        ``t``'s level, and a pass back from ``t`` keeps only the nodes
-        that reach it; the rest keep level -1.  A push would find them
-        dead ends, so skipping them leaves the pushed flows unchanged.
-        When ``t`` is unreachable, ``queue`` holds every node reachable
-        from ``s``.
+        Returns ``(level, queue)``.  The breadth-first search stops at the
+        first level that holds a sink, and a pass back over its queue
+        keeps only the nodes with a residual arc to a kept node one level
+        deeper; the rest, and the non-sinks of the last level, keep level
+        -1.  A push would find them dead ends, so skipping them leaves the
+        pushed flows unchanged, and the pass costs no more than the
+        search.  When no sink is reachable, every level is -1 and
+        ``queue`` holds every node reachable from ``s``.
         """
         arcs, head, cap, eps = self.arcs, self.head, self.cap, self.eps
+        cut_sink, cut_value = self.cut_sink, self.cut_value
+        floor = self.degree[s]
         level = [-1] * len(arcs)
         level[s] = 0
+        live = [-1] * len(arcs)
         queue = [s]
+        bottom = -1  # level of the nearest sinks
         for u in queue:
             depth = level[u] + 1
-            if depth > level[t] >= 0:
+            if depth > bottom >= 0:
                 break
             for a in arcs[u]:
                 v = head[a]
                 if level[v] < 0 and cap[a] > eps:
                     level[v] = depth
                     queue.append(v)
-        if level[t] < 0:
-            return level, queue
-        live = [-1] * len(arcs)
-        live[t] = level[t]
-        back = [t]
-        for v in back:
-            depth = level[v] - 1
-            for a in arcs[v]:
-                u = head[a]
-                if level[u] == depth and live[u] < 0 and cap[a ^ 1] > eps:
-                    live[u] = depth
-                    back.append(u)
+                    if v == t or cut_sink[v] == t and cut_value[v] >= floor:
+                        live[v] = bottom = depth
+        if bottom < 0:
+            return live, queue
+        for u in reversed(queue):
+            depth = level[u]
+            if depth < bottom:
+                for a in arcs[u]:
+                    if live[head[a]] == depth + 1 and cap[a] > eps:
+                        live[u] = depth
+                        break
         return live, queue
 
-    def _push(self, s, t, level, it):
-        """Push the bottleneck of one s-t path in the level graph.
+    def _push(self, s, bottom, level, it):
+        """Push the bottleneck of one path in the level graph from ``s``
+        to a sink, a live node at level ``bottom``.
 
         Depth-first along ``it[u]``, the index of each node's next
         untried arc; a dead end exhausts its node's arcs and advances its
@@ -366,17 +420,18 @@ class _FlowNetwork:
         arcs, head, cap, eps = self.arcs, self.head, self.cap, self.eps
         path = []  # arcs of the walk from s to u
         u = s
-        while u != t:
+        while level[u] != bottom:
             out = arcs[u]
+            end = len(out)
             i = it[u]
             depth = level[u] + 1
-            while i < len(out):
+            while i < end:
                 a = out[i]
                 if cap[a] > eps and level[head[a]] == depth:
                     break
                 i += 1
             it[u] = i
-            if i < len(out):
+            if i < end:
                 path.append(a)
                 u = head[a]
             else:
@@ -388,6 +443,7 @@ class _FlowNetwork:
         for a in path:
             cap[a] -= pushed
             cap[a ^ 1] += pushed
+        self.touched += path
         return pushed
 
 
@@ -416,7 +472,9 @@ def max_flow_min_cut(g, s, t):
     Infinite-bandwidth links are contracted first, so graphs mixing
     finite and infinite capacities are fine; if ``s`` and ``t`` end up
     merged the cut value is infinite and ``side`` covers everything.
-    Otherwise ``side`` is the smallest source side of a minimum cut.
+    Otherwise ``side`` is the smallest source side of a minimum cut and
+    ``value`` the ``math.fsum`` of the bandwidths of the links leaving it
+    (the links between two contracted components summed first).
     """
     und = g.undirected() if isinstance(g, WeightedGraph) else g
     if s == t or s not in und.nodes or t not in und.nodes:
@@ -478,12 +536,21 @@ def gomory_hu_tree(g):
     initial hub, which makes the tree deterministic.
 
     Gusfield's method runs all n-1 flows on one residual network, with
-    infinite links contracted once and capacities reset in place before
-    each flow.  A flow stops once it reaches the smaller weighted degree
-    of its two terminals, an upper bound on every cut between them.  Each
-    cut's source side is the set reachable from the source in the final
-    residual network, the smallest one, so the tree is the same as with
-    a separate :func:`max_flow_min_cut` per pair.
+    infinite links contracted once and the last flow's arcs reset before
+    each flow.  The network remembers each source's first cut, so a flow
+    from s to t goes to a super-sink: t plus every earlier source x whose
+    first cut went to t and weighed at least deg(s).  That changes no
+    cut, because λ(s, t) >= min(λ(s, T), λ(x, t)) with λ(x, t) >= deg(s)
+    >= λ(s, T), and an s-t cut below deg(s) must leave every such x on
+    t's side (see ``_FlowNetwork``).  On a torus the search then ends at
+    an already processed neighbour instead of crossing the graph.
+
+    A flow stops once it reaches the smaller weighted degree of its two
+    terminals, an upper bound on every cut between them.  Each cut's
+    source side is the set reachable from the source in the final
+    residual network, the smallest one, and its value the ``math.fsum``
+    of the capacities leaving that side, so the tree is the same, bit for
+    bit, as with a separate :func:`max_flow_min_cut` per pair.
     """
     if isinstance(g, WeightedGraph):
         return g._cut_tree

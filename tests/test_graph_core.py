@@ -10,6 +10,7 @@ from flowsgd import (INFINITY, GomoryHuTree, build_graph,
                      leaf_branch_peeling, max_flow_min_cut, min_S_cut,
                      parse_topology, serialize_topology, unit_multigraph)
 from flowsgd import topologies
+from flowsgd.graph_core import _FlowNetwork
 
 import oracles
 from conftest import FIVE_NODE_SPEC, random_graph_spec, spec_edges
@@ -415,3 +416,70 @@ def test_gh_path_minima_match_networkx_on_random_graphs(seed, scale):
     tree = gomory_hu_tree(g)
     for (u, v), ref in _networkx_path_minima(nx, g).items():
         assert math.isclose(tree.path_min_weight(u, v), ref, rel_tol=1e-9)
+
+
+# -- flows to a super-sink of earlier certified sources --
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=3))
+def test_gh_tree_matches_one_network_per_flow_under_degree_ties(seed, w_max):
+    # small integer weights: many cuts weigh exactly the source's degree,
+    # where an earlier source joins the super-sink
+    und = build_graph(random_graph_spec(random.Random(seed), n_max=12,
+                                        w_max=w_max)).undirected()
+    assert gomory_hu_tree(und) == _reference_gomory_hu(und)
+
+
+def _two_tori_joined():
+    # 16 reaches 1 through its own torus only: its cut to 1 is 4, below
+    # its degree 5, so no earlier source may join 1 as a sink
+    torus = topologies.p_torus(4)
+    links = [{"a": i + k, "b": j + k, "bandwidth": 1}
+             for (i, j) in torus.bandwidth if i < j for k in (0, 16)]
+    links.append({"a": 16, "b": 17, "bandwidth": 1})
+    return build_graph({"nodes": [{"id": i, "h": 1} for i in range(1, 33)],
+                        "links": links})
+
+
+@pytest.mark.parametrize("make", [
+    _two_tori_joined,
+    lambda: topologies.ring(40),
+    lambda: topologies.star(60),
+    lambda: topologies.k_clusters(40, 4, b_slow=0.1, b_fast=10.0),
+], ids=["two-tori", "ring:40", "star:60", "clusters:40x4"])
+def test_gh_tree_matches_one_network_per_flow_where_sinks_stay_alone(make):
+    und = make().undirected()
+    assert gomory_hu_tree(und) == _reference_gomory_hu(und)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.sampled_from([0.1, 1 / 3, 0.7]), st.data())
+def test_min_cut_value_is_the_sum_of_the_links_leaving_its_side(seed, scale,
+                                                               data):
+    spec = _scaled_spec(seed, scale)
+    g = build_graph(spec)
+    s, t = data.draw(st.lists(st.sampled_from(g.nodes), min_size=2,
+                              max_size=2, unique=True))
+    cut = max_flow_min_cut(g, s, t)
+    assert s in cut.side and t not in cut.side
+    assert cut.value == math.fsum(
+        ls["bandwidth"] for ls in spec["links"]
+        if (ls["a"] in cut.side) != (ls["b"] in cut.side))
+
+
+@pytest.mark.parametrize("side", [10, 20])
+def test_torus_flows_stop_at_a_processed_neighbour(side, monkeypatch):
+    # without the super-sink each flow searches across the torus to
+    # node 1: 176 queued nodes per flow on 10x10, 583 on 20x20
+    queued = []
+    levels = _FlowNetwork._levels
+
+    def counted(net, s, t):
+        level, queue = levels(net, s, t)
+        queued.append(len(queue))
+        return level, queue
+
+    monkeypatch.setattr(_FlowNetwork, "_levels", counted)
+    g = topologies.p_torus(side)
+    gomory_hu_tree(g.undirected())
+    assert sum(queued) <= 40 * (len(g.nodes) - 1)
