@@ -203,12 +203,9 @@ def _write_json(path, payload):
                          + "\n").encode())
 
 
-def _csv_bytes(header, rows):
+def _csv_bytes(rows):
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().encode()
 
 
@@ -242,7 +239,7 @@ def cmd_analyze(cfg):
         rows.append([r.method, r.mode, r.combine, "total", repr(r.total)])
     path = os.path.join(cfg.out_dir, "analysis.csv")
     _atomic_write(path, _csv_bytes(
-        ["method", "mode", "combine", "term", "seconds"], rows))
+        [["method", "mode", "combine", "term", "seconds"], *rows]))
 
     width = max(len(r.method) for r in reports)
     print(f"time complexity ({cfg.analysis_mode} mode)")
@@ -261,7 +258,8 @@ def cmd_analyze(cfg):
                     trade.to_dict())
         _atomic_write(
             os.path.join(cfg.out_dir, "tradeoff.csv"),
-            _csv_bytes(["bound", "argmin_m", "seconds"], [
+            _csv_bytes([
+                ["bound", "argmin_m", "seconds"],
                 ["by_degree", trade.by_degree_argmin, repr(trade.by_degree)],
                 ["by_count", trade.by_count_argmin, repr(trade.by_count)],
                 ["solo", 1, repr(trade.solo)],
@@ -361,9 +359,18 @@ def _objective_for(method, cfg, seed):
                           n_samples=samples)
 
 
-def _run_cell(cfg, method, seed):
+def _run_cell(cfg, method, seed, oracles):
+    """Train one cell with the oracle ``oracles[seed]``, made if missing.
+
+    The training loop reads only the oracle's σ², seed and draws, so the
+    cells of one seed share one oracle and each noise vector is drawn
+    once for all of them.
+    """
     objective = _objective_for(method, cfg, seed)
-    oracle = StochasticOracle(objective, cfg.params.sigma2, seed=seed)
+    oracle = oracles.get(seed)
+    if oracle is None:
+        oracle = oracles[seed] = StochasticOracle(
+            objective, cfg.params.sigma2, seed=seed)
     kw = {"target_grad_sq": cfg.target_grad_sq}
     if method == "grace":
         trace = grace_sgd(cfg.graph, objective, oracle, cfg.params,
@@ -390,7 +397,7 @@ def _cell_path(cfg, method, seed):
 
 def cmd_simulate(cfg):
     method, seed = cfg.methods[0], cfg.seeds[0]
-    trace = _run_cell(cfg, method, seed)
+    trace = _run_cell(cfg, method, seed, {})
     path = _cell_path(cfg, method, seed)
     _atomic_write(path, trace.csv_bytes())
     print(f"{method} seed {seed}: {len(trace.rows) - 1} iterations, "
@@ -401,32 +408,40 @@ def cmd_simulate(cfg):
 
 
 def cmd_experiment(cfg):
+    """Run the cells seed by seed, so one seed's noise vectors are alive
+    at a time, and report them method by method."""
     target = cfg.target_grad_sq
     if target is None:
         target = 2 * cfg.params.epsilon
-    long_rows = []
+    cells = {}  # (method, seed) -> (runs.csv bytes, summary row, line)
+    for seed in cfg.seeds:
+        oracles = {}
+        for method in cfg.methods:
+            trace = _run_cell(cfg, method, seed, oracles)
+            _atomic_write(_cell_path(cfg, method, seed), trace.csv_bytes())
+            hit = next((t for _, t, gsq, _, _ in trace.rows
+                        if gsq <= target), None)
+            state = "never" if hit is None else f"{hit:.6g}s"
+            cells[method, seed] = (
+                _csv_bytes([method, seed, it, repr(t), repr(gsq), repr(fv),
+                            batch] for it, t, gsq, fv, batch in trace.rows),
+                [method, seed, repr(target),
+                 "" if hit is None else repr(hit), int(hit is not None)],
+                f"  {method} seed {seed}: grad^2 <= {_fmt(target)} "
+                f"at {state}")
+    runs = [_csv_bytes([["method", "seed", "iter", "sim_time_s",
+                         "grad_norm_sq", "f_value", "total_batch"]])]
     summary = []
     for method in cfg.methods:
         for seed in cfg.seeds:
-            trace = _run_cell(cfg, method, seed)
-            _atomic_write(_cell_path(cfg, method, seed), trace.csv_bytes())
-            for it, t, gsq, fv, batch in trace.rows:
-                long_rows.append([method, seed, it, repr(t), repr(gsq),
-                                  repr(fv), batch])
-            hit = next((t for _, t, gsq, _, _ in trace.rows
-                        if gsq <= target), None)
-            summary.append([method, seed, repr(target),
-                            "" if hit is None else repr(hit),
-                            int(hit is not None)])
-            state = "never" if hit is None else f"{hit:.6g}s"
-            print(f"  {method} seed {seed}: grad^2 <= {_fmt(target)} "
-                  f"at {state}")
-    _atomic_write(os.path.join(cfg.out_dir, "runs.csv"), _csv_bytes(
-        ["method", "seed", "iter", "sim_time_s", "grad_norm_sq",
-         "f_value", "total_batch"], long_rows))
+            rows, row, line = cells[method, seed]
+            runs.append(rows)
+            summary.append(row)
+            print(line)
+    _atomic_write(os.path.join(cfg.out_dir, "runs.csv"), b"".join(runs))
     _atomic_write(os.path.join(cfg.out_dir, "time_to_target.csv"),
-                  _csv_bytes(["method", "seed", "target_grad_sq",
-                              "time_s", "reached"], summary))
+                  _csv_bytes([["method", "seed", "target_grad_sq",
+                               "time_s", "reached"], *summary]))
     print(f"wrote {os.path.join(cfg.out_dir, 'runs.csv')} and "
           f"time_to_target.csv ({len(summary)} cells)")
     return 0

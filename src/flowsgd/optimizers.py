@@ -9,11 +9,15 @@ reused by every seed; one loop runs every method from its schedule.
 
 Noise is additive isotropic Gaussian with variance σ²/d per coordinate
 and per gradient.  Every method's step sees its batch's noises only
-through one weighted sum, so each iteration draws that sum as one
-d-vector, N(0, w·σ²/d) with the method's weight w, from a counter-based
-generator keyed by (seed, iteration): a trace never depends on
-scheduling or thread count, and a run builds one generator per
-iteration, not one per (worker, iteration).
+through one weighted sum, so each iteration's noise is one standard
+normal d-vector from a counter-based generator keyed by
+(seed, iteration), scaled by √(w·σ²/d) with the method's weight w: a
+trace never depends on scheduling, thread count or which other methods
+run.  An oracle keeps each vector it draws, and ``flowsgd experiment``
+shares one oracle per seed among its methods: one generator per
+(seed, iteration) per experiment, scaled per method.  It runs the
+cells seed by seed, so at most max_iters·d·8 bytes of vectors are
+alive.
 """
 
 from __future__ import annotations
@@ -138,14 +142,18 @@ class StochasticOracle:
     """Seeded noisy-gradient source shared by all methods.
 
     A single gradient carries N(0, σ²/d) noise per coordinate, so
-    E‖g−∇f‖² = σ².  The training loop reads only σ² and the seed: it
-    draws each iteration's summed noise as one vector keyed by
-    (seed, iteration) and takes exact gradients from its one Objective
-    (leon's is the closed-form mean of its components).
+    E‖g−∇f‖² = σ².  The training loop reads only σ², the seed and
+    :meth:`_draw`: it draws each iteration's summed noise as one vector
+    keyed by (seed, iteration) and takes exact gradients from its one
+    Objective (leon's is the closed-form mean of its components), so
+    every method of one seed may share one oracle.
     :meth:`gradient_sum` draws one keyed by (seed, worker, iteration) and
     adds the exact gradient of one of ``objectives``, an Objective or a
     sequence of them.  Both draws come from counter-based generators, so
-    traces are reproducible regardless of execution order.
+    traces are reproducible regardless of execution order.  The oracle
+    keeps the standard normal vector of every (key, d) it has drawn:
+    one generator per key, however many methods scale it, at d·8 bytes
+    per key for as long as the oracle lives.
     """
 
     def __init__(self, objectives, sigma2, seed=0):
@@ -158,21 +166,29 @@ class StochasticOracle:
             raise ValueError("variance must be nonnegative")
         self.sigma2 = float(sigma2)
         self.seed = seed
+        self._normals = {}
 
     def _draw(self, key, weight, d):
         """Summed noise N(0, weight·σ²/d) per coordinate, or 0.0 if none.
 
         ``weight`` is the sum of the squared coefficients put on the
         single-gradient noises: B for a sum of B gradients, Σ_w 1/(n²·B_w)
-        for leon's mean of per-worker means.  The vector comes from the
-        Philox stream of (seed, *key): the training loop keys it by
-        iteration, so methods with equal weights draw the same vector.
+        for leon's mean of per-worker means.  The vector is
+        √(weight·σ²/d)·z, a new array each call, with z the standard
+        normal d-vector of the Philox stream of (seed, *key), drawn once
+        per (key, d) and kept.  That is bitwise what
+        ``normal(0.0, √(weight·σ²/d), d)`` on the same stream returns.
+        The training loop keys it by iteration, so every method scales
+        the same z.
         """
         if self.sigma2 == 0 or weight == 0:
             return 0.0
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
-        rng = np.random.Generator(np.random.Philox(seq))
-        return rng.normal(0.0, math.sqrt(weight * self.sigma2 / d), d)
+        z = self._normals.get((key, d))
+        if z is None:
+            seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
+            z = np.random.Generator(np.random.Philox(seq)).standard_normal(d)
+            self._normals[key, d] = z
+        return math.sqrt(weight * self.sigma2 / d) * z
 
     def gradient_sum(self, x, worker, iteration, count, component=0):
         """Sum of ``count`` noisy gradients of one component at x.
@@ -351,8 +367,8 @@ def _leon_schedule(g, params, d, mode):
     workers = sorted(g.workers())
     n = len(workers)
     counts, elapsed = run_gradient_computation(
-        workers, g.h,
-        lambda c: leon_stop_rule(tuple(c[w] for w in workers), n, params))
+        workers, g.h,  # c is keyed by the sorted workers
+        lambda c: leon_stop_rule(c.values(), n, params))
     comm = _allreduce_seconds(g, workers, d, mode)
     weight = sum(1.0 / counts[w] for w in workers) / (n * n)
     return _Schedule(counts, elapsed, comm, 1, weight)

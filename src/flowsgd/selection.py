@@ -28,7 +28,6 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .graph_core import WeightedGraph, gomory_hu_tree
 
@@ -340,17 +339,19 @@ def leon_stop_rule(B, n, params: ProblemParams):
     True iff every worker holds at least one gradient and the harmonic
     mean of the counts is at least ``max(ceil(sigma^2/eps), n) / n``.
     Counts of zero simply evaluate to false (still waiting), not an
-    error.  Evaluated in exact rational arithmetic, one term per distinct
-    count.
+    error.  Evaluated in exact integer arithmetic, one term per distinct
+    count: with Σ_b m_b/b = num/den, the rule is n²·den ≥ target·num.
     """
     counts = list(B)
     if len(counts) != n:
         raise ValueError(f"expected {n} counts, got {len(counts)}")
-    if any(b < 0 for b in counts):
+    low = min(counts)
+    if low < 0:
         raise ValueError("negative batch count")
-    if any(b == 0 for b in counts):
+    if low == 0:
         return False
-    inverse = sum(Fraction(m, int(b)) for b, m in Counter(counts).items())
-    harm = Fraction(n) / inverse
-    threshold = Fraction(max(_ceil_snapped(params.ratio), n), n)
-    return harm >= threshold
+    num, den = 0, 1
+    for b, m in Counter(counts).items():
+        b = int(b)  # a numpy count would overflow the products
+        num, den = num * b + m * den, den * b
+    return n * n * den >= max(_ceil_snapped(params.ratio), n) * num

@@ -287,9 +287,10 @@ def test_experiment_plans_each_method_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["pack_steiner_trees"] * 2 + ["run_allreduce"] * 2
 
 
-def test_experiment_builds_one_generator_per_noisy_iteration(tmp_path,
-                                                             monkeypatch):
-    # each iteration draws its summed noise once, whatever the batch size
+def test_experiment_builds_one_generator_per_seed_and_iteration(
+        tmp_path, monkeypatch):
+    # each (seed, iteration) draws its noise once, whatever the batch size
+    # and however many methods scale it
     built = []
     philox = np.random.Philox
 
@@ -302,9 +303,37 @@ def test_experiment_builds_one_generator_per_noisy_iteration(tmp_path,
                  "grace,leon,sync,hero", "--seeds", "0:2",
                  "--out", str(tmp_path)]) == 0
     rows = read_csv(tmp_path / "runs.csv")[1:]
-    iterations = sum(1 for row in rows if row[2] != "0")
+    keys = {(row[1], row[2]) for row in rows if row[2] != "0"}
     assert max(int(row[6]) for row in rows) > 1
-    assert len(built) == iterations
+    assert len(built) == len(keys)
+
+
+@pytest.mark.parametrize("objective,target", [("quadratic", "0.01"),
+                                              ("synthetic_logreg", "0.001")])
+def test_a_cells_trace_does_not_depend_on_the_other_methods(
+        tmp_path, objective, target):
+    # the methods of a seed share its noise vectors: each cell's trace is
+    # the one the method writes alone, whichever methods run with it and
+    # in whichever order, and wherever the others stop
+    common = ["--gen", "ring:6", "--d", "7", "--sigma2", "0.3",
+              "--objective", objective, "--target-grad-sq", target,
+              "--max-iters", "80"]
+    for name, methods in (("pair", "hero,leon"), ("trio", "leon,hero,grace")):
+        assert main(["experiment", *common, "--methods", methods,
+                     "--seeds", "3:5", "--out", str(tmp_path / name)]) == 0
+    for seed in (3, 4):
+        lengths = set()
+        for method in ("grace", "leon", "hero"):
+            alone = tmp_path / f"{method}{seed}"
+            assert main(["simulate", *common, "--method", method,
+                         "--seed", str(seed), "--out", str(alone)]) == 0
+            name = f"trace_{method}_seed{seed}.csv"
+            data = (alone / name).read_bytes()
+            assert (tmp_path / "trio" / name).read_bytes() == data
+            if method != "grace":
+                assert (tmp_path / "pair" / name).read_bytes() == data
+            lengths.add(len(data.splitlines()))
+        assert len(lengths) > 1
 
 
 def test_plan_with_infinite_links_packs_the_proxy(tmp_path):

@@ -154,6 +154,31 @@ def test_iteration_draw_is_keyed_by_seed_and_iteration():
     assert StochasticOracle(quadratic(d=10), 0.0)._draw((7,), 3, 10) == 0.0
 
 
+def test_a_kept_draw_equals_a_fresh_oracles_draw():
+    # the oracle keeps each (key, d) vector: draws of other keys, weights
+    # and dimensions leave a key's draw as a fresh oracle makes it
+    oracle = StochasticOracle(quadratic(d=10), sigma2=2.0, seed=9)
+    for key, weight, d in (((7,), 0.5, 10), ((7,), 3, 4), ((8,), 3, 10),
+                           ((3, 7), 3, 10), ((7,), 1e-3, 10)):
+        oracle._draw(key, weight, d)
+    a = oracle._draw((7,), 3, 10)
+    fresh = StochasticOracle(quadratic(d=10), 2.0, seed=9)._draw((7,), 3, 10)
+    assert a.tobytes() == fresh.tobytes()
+    # bitwise the normal draw of the same Philox stream
+    seq = np.random.SeedSequence(entropy=9, spawn_key=(7,))
+    rng = np.random.Generator(np.random.Philox(seq))
+    assert a.tobytes() == rng.normal(0.0, math.sqrt(3 * 2.0 / 10),
+                                     10).tobytes()
+    # every draw is a new array: writing to one leaves the next unchanged
+    a[:] = 0.0
+    b = oracle._draw((7,), 3, 10)
+    assert b.tobytes() == fresh.tobytes()
+    b *= 2.0
+    assert oracle._draw((7,), 3, 10).tobytes() == fresh.tobytes()
+    assert oracle._draw((7,), 3, 4).tobytes() == StochasticOracle(
+        quadratic(d=10), 2.0, seed=9)._draw((7,), 3, 4).tobytes()
+
+
 def test_iteration_draw_has_the_weighted_variance():
     d, sigma2, weight = 25, 2.5, 0.3
     oracle = StochasticOracle(quadratic(d=d), sigma2, seed=1)

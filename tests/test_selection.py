@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowsgd import (INFINITY, ProblemParams, batch_collection_bound,
                      build_graph, find_fastest_subset, grace_target_batch,
@@ -145,6 +145,30 @@ def test_leon_rule_matches_the_per_worker_sum(counts, ratio):
     expected = all(counts) and Fraction(n) / sum(
         Fraction(1, b) for b in counts) >= Fraction(max(ratio, n), n)
     assert leon_stop_rule(tuple(counts), n, p) == expected
+
+
+@given(st.integers(min_value=1, max_value=100).flatmap(
+           lambda n: st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                              min_size=n, max_size=n)),
+       st.integers(min_value=0, max_value=10 ** 8),
+       st.sampled_from(["exact", "ulp_up", "ulp_down", "half"]))
+@example([16] * 4, 64, "ulp_up")  # sigma^2/eps = 64.00000000000001
+@example([16] * 4, 64, "ulp_down")
+@example([16] * 4, 65, "exact")
+@example([10 ** 6] * 100, 10 ** 8, "ulp_up")
+@settings(max_examples=300)
+def test_leon_rule_matches_the_reference_at_scale(counts, ratio, offset):
+    # large counts, up to 100 workers, and ratios an ulp off an integer,
+    # which snap to it (16.000000000000002 ceils to 16, not 17)
+    sigma2 = {"exact": float(ratio),
+              "ulp_up": math.nextafter(float(ratio), math.inf),
+              "ulp_down": math.nextafter(float(ratio), -math.inf),
+              "half": ratio + 0.5}[offset]
+    p = params(sigma2=max(sigma2, 0.0), epsilon=1.0)
+    reference_ratio = ratio + 0.5 if offset == "half" else ratio
+    n = len(counts)
+    assert leon_stop_rule(tuple(counts), n, p) == \
+        oracles.leon_rule_reference(counts, n, reference_ratio)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
