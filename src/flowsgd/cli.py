@@ -28,8 +28,7 @@ from .analyzer import (grace_complexity, hero_sgd_complexity,
                        leon_complexity, sync_sgd_complexity,
                        tradeoff_bounds)
 from .graph_core import (INFINITY, WeightedGraph, all_infinite_bandwidth,
-                         finite_bandwidth_proxy, gomory_hu_tree,
-                         parse_topology, unit_multigraph)
+                         gomory_hu_tree, parse_topology, unit_multigraph)
 from .optimizers import (StochasticOracle, grace_sgd, hero_sgd, leon_sgd,
                          make_objective, sync_sgd)
 from .selection import ProblemParams, find_fastest_subset
@@ -323,12 +322,10 @@ def cmd_plan(cfg):
         print(f"packing: {line}")
         return 0
 
-    # the packing runs on the proxy, which is g unless g has infinite links
-    proxy = finite_bandwidth_proxy(g)
-    packing = pack_steiner_trees(unit_multigraph(proxy), workers,
-                                 gomory_hu_tree(proxy), d=int(params.d))
+    packing = pack_steiner_trees(unit_multigraph(g), workers,
+                                 d=int(params.d))
     _write_json(os.path.join(cfg.out_dir, "packing.json"), packing.to_dict())
-    sim, schedule = run_allreduce(proxy, packing, int(params.d),
+    sim, schedule = run_allreduce(g, packing, int(params.d),
                                   mode=cfg.comm_mode)
     doc = schedule.to_dict()
     doc["predicted_seconds"] = sim.completion_time

@@ -16,9 +16,9 @@ built on:
                       t and each earlier source x with λ(x, t) >= deg(s).
                       The cut is unchanged: λ(s, t) >= min(λ(s, T),
                       λ(x, t)), and no s-t cut below deg(s) splits x from t
-``min_S_cut``         smallest cut separating at least two nodes of a set
-``unit_multigraph``   integral rescaling into unit-capacity parallel edges,
-                      cached per graph
+``min_S_cut``         smallest cut splitting a node set, from the cut tree
+``unit_multigraph``   unit-capacity rescaling of the finite proxy, cached
+                      per proxy, which it keeps: its tree gives packing's α
 ``leaf_branch_peeling``  logarithmic-depth decomposition of a tree
 ==================  =========================================================
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 
@@ -99,7 +99,7 @@ class WeightedGraph:
 
     @cached_property
     def _unit_multigraph(self):
-        return _build_unit_multigraph(self.undirected())
+        return _build_unit_multigraph(self)
 
     @cached_property
     def _schedules(self):
@@ -581,18 +581,17 @@ def _build_gomory_hu_tree(und):
     return GomoryHuTree(tuple(nodes), edges)
 
 
-def min_S_cut(g, S, tree=None):
+def min_S_cut(g, S):
     """Smallest cut separating at least two members of ``S``.
 
-    Equals the minimum weight among Gomory-Hu tree edges whose removal
-    splits ``S``.  By convention a set with fewer than two nodes cannot be
-    separated, so the value is infinite.
+    Equals the minimum weight among edges of ``gomory_hu_tree(g)`` whose
+    removal splits ``S``.  By convention a set with fewer than two nodes
+    cannot be separated, so the value is infinite.
     """
     S = frozenset(S)
     if len(S) < 2:
         return INFINITY
-    if tree is None:
-        tree = gomory_hu_tree(g)
+    tree = gomory_hu_tree(g)
     missing = S - set(tree.nodes)
     if missing:
         raise ValueError(f"nodes not in graph: {sorted(missing)}")
@@ -628,12 +627,14 @@ class UnitMultigraph:
 
     A link of bandwidth ``b`` becomes ``round(scale * b)`` parallel unit
     edges; interleaving coordinates over the copies gives each one an
-    effective rate of ``1 / scale`` in either direction.
+    effective rate of ``1 / scale`` in either direction.  ``graph`` is
+    the all-finite graph it was built from.
     """
 
     nodes: tuple
     scale: int
     multiplicity: dict  # (u, v) with u < v -> copies
+    graph: WeightedGraph = field(compare=False, repr=False)
 
     @property
     def unit_rate(self):
@@ -641,29 +642,24 @@ class UnitMultigraph:
 
 
 def unit_multigraph(g):
-    """Smallest integer rescaling that makes every bandwidth integral.
+    """Unit multigraph of :func:`finite_bandwidth_proxy` of ``g``, built
+    once per proxy and shared by ``g`` and its proxy.
 
     Each bandwidth is matched to a rational with denominator at most
     ``MAX_SCALE``; the scale is the lcm of the denominators.  Bandwidths
-    further than ``1e-9`` (relative) from that rational, infinite
-    bandwidths, or an lcm beyond ``MAX_SCALE`` are errors.  Like
-    :func:`gomory_hu_tree`, a :class:`WeightedGraph` builds its
-    multigraph once and returns the same one afterwards; an
-    :class:`UndirectedView` gets a fresh one per call.
+    further than ``1e-9`` (relative) from that rational, or an lcm beyond
+    ``MAX_SCALE``, are errors, and so is a graph whose links are all
+    infinite.
     """
-    if isinstance(g, WeightedGraph):
-        return g._unit_multigraph
-    return _build_unit_multigraph(g)
+    return g._finite_proxy._unit_multigraph
 
 
-def _build_unit_multigraph(und):
+def _build_unit_multigraph(g):
+    und = g.undirected()
     denoms = []
     fracs = {}
     for key in sorted(und.weight):
         b = und.weight[key]
-        if not math.isfinite(b):
-            raise ValueError(
-                f"infinite bandwidth on {key} cannot be rescaled")
         frac = Fraction(b).limit_denominator(MAX_SCALE)
         if abs(float(frac) - b) > 1e-9 * max(1.0, b):
             raise ValueError(
@@ -681,7 +677,7 @@ def _build_unit_multigraph(und):
         assert copies.denominator == 1
         if copies.numerator > 0:
             mult[key] = copies.numerator
-    return UnitMultigraph(tuple(sorted(und.nodes)), scale, mult)
+    return UnitMultigraph(tuple(sorted(und.nodes)), scale, mult, g)
 
 
 def finite_bandwidth_proxy(g):
@@ -692,11 +688,11 @@ def finite_bandwidth_proxy(g):
     An infinite link then admits 16 times as many unit tree instances as
     the widest finite link, which is enough for it never to be the
     packing bottleneck in practice.  The proxy is built once per graph
-    and returned on every later call, so its cut tree is built once too.
-    Graphs with no infinite link are returned unchanged; graphs with
-    *only* infinite links are an error -- on those, communication takes
-    no simulated time at all and callers should skip the transfer
-    entirely.
+    and returned on every later call, so its cut tree and its unit
+    multigraph are built once too.  Graphs with no infinite link are
+    returned unchanged; graphs with *only* infinite links are an error --
+    on those, communication takes no simulated time at all and callers
+    should skip the transfer entirely.
     """
     return g._finite_proxy
 

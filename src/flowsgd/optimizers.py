@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import (WeightedGraph, all_infinite_bandwidth,
-                         finite_bandwidth_proxy, gomory_hu_tree,
                          unit_multigraph)
 from .selection import (ProblemParams, find_fastest_subset,
                         grace_target_batch, leon_stop_rule)
@@ -254,10 +253,7 @@ def _allreduce_seconds(g, terminals, d, mode):
     """Simulated time of one AllReduce among ``terminals`` (0 if alone)."""
     if len(terminals) < 2 or d == 0 or all_infinite_bandwidth(g):
         return 0.0
-    g = finite_bandwidth_proxy(g)
-    mg = unit_multigraph(g)
-    packing = pack_steiner_trees(mg, tuple(terminals), gomory_hu_tree(g),
-                                 d=d)
+    packing = pack_steiner_trees(unit_multigraph(g), terminals, d=d)
     trace, _ = run_allreduce(g, packing, d, mode=mode)
     return trace.completion_time
 

@@ -168,6 +168,12 @@ def run_gradient_computation(workers, h, stop, max_seconds=1e9,
         heapq.heappush(heap, (t + h[w], w))
 
 
+def _check_size(d):
+    """A vector size is finite and positive."""
+    if not 0 < d < INFINITY:
+        raise ValueError(f"vector size must be finite and positive, got {d}")
+
+
 # == Tree streaming ==
 
 def _stream(arcs, latency, rate, size, slot, copies):
@@ -251,11 +257,14 @@ def run_allreduce(g: WeightedGraph, packing: TreePacking, d, mode="streamed"):
     ``mode="streamed"`` pipelines coordinates (per-hop startup of one
     coordinate slot); ``mode="store_forward"`` forwards only whole
     blocks -- all ``k`` of a shape -- for comparison.
+
+    ``g`` may have infinite links: :func:`unit_multigraph` rescales its
+    finite proxy, so the events and completion time are the proxy's (an
+    infinite link's utilization reads 0).
     """
     if mode not in ("streamed", "store_forward"):
         raise ValueError(f"unknown mode {mode!r}")
-    if d <= 0:
-        raise ValueError("vector size must be positive")
+    _check_size(d)
     mg = unit_multigraph(g)
     for ti, tree in enumerate(packing.trees):
         for u, v, c in tree.edges:
@@ -322,6 +331,7 @@ def run_naive_sync_round(g: WeightedGraph, pivot, d):
     block.  Completion of both phases is returned in the trace; a single
     node completes at time zero.
     """
+    _check_size(d)
     if pivot not in g.nodes:
         raise ValueError(f"pivot {pivot} not in graph")
     parent, order = _bfs_tree(g, pivot)
@@ -397,6 +407,7 @@ def run_separate_transfers(g: WeightedGraph, sources, dest, d):
     recomputed whenever a flow completes (rate_change events record each
     boundary).  This is the no-aggregation baseline.
     """
+    _check_size(d)
     flows = {f"xfer/{s}": _shortest_path(g, s, dest)
              for s in sorted(sources) if s != dest}
     remaining = {fid: float(d) for fid in flows}

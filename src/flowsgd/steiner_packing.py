@@ -18,6 +18,7 @@ branching theorem says trees disjoint in this sense reach it.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -107,8 +108,9 @@ def min_S_cut_multigraph(mg: UnitMultigraph, S):
 
     Equals ``scale`` times the bandwidth min S-cut, because multiplicities
     are exactly the scaled bandwidths; :func:`pack_steiner_trees` reads
-    it so from a shared cut tree.  Here the multigraph gets a tree of its
-    own, which keeps :func:`verify_packing`'s check independent.
+    it so from the cut tree of ``mg.graph``.  Here the multigraph gets a
+    tree of its own, which keeps :func:`verify_packing`'s check
+    independent.
     """
     S = tuple(S)
     if len(S) < 2:
@@ -348,7 +350,7 @@ def _bfs_trees(mg, S, pivot, limit):
     return trees
 
 
-def pack_steiner_trees(mg: UnitMultigraph, S, tree=None, d=None):
+def pack_steiner_trees(mg: UnitMultigraph, S, *, d=None):
     """Pack trees connecting the terminal set S, disjoint per direction.
 
     Every tree is an in-tree toward the pivot, and no two trees send over
@@ -357,12 +359,12 @@ def pack_steiner_trees(mg: UnitMultigraph, S, tree=None, d=None):
     rooted at the center; anything else gets the breadth-first packer
     (:func:`_bfs_trees`), rooted at the lowest-id terminal.  A
     ``d``-coordinate AllReduce has no use for more than ``d`` trees, so
-    with ``d`` given at most ``d`` are returned.  A single terminal
-    yields the zero-tree packing (nothing to send).
+    with ``d`` given (an integer >= 1) at most ``d`` are returned.  A
+    single terminal yields the zero-tree packing (nothing to send).
 
-    ``alpha`` is ``round(mg.scale * min_S_cut(None, S, tree))`` for
-    ``tree`` a Gomory-Hu tree of the bandwidth graph ``mg`` came from;
-    without ``tree`` it is :func:`min_S_cut_multigraph`, the same number.
+    ``alpha`` is ``round(mg.scale * min_S_cut(mg.graph, S))``, read from
+    the cut tree of the graph ``mg`` was built from; it equals
+    :func:`min_S_cut_multigraph`.
     """
     S = tuple(sorted(set(S)))
     if not S:
@@ -370,18 +372,13 @@ def pack_steiner_trees(mg: UnitMultigraph, S, tree=None, d=None):
     missing = [s for s in S if s not in mg.nodes]
     if missing:
         raise ValueError(f"terminals not in graph: {missing}")
-    if d is not None and d < 1:
-        raise ValueError("vector size must be positive")
+    if d is not None and (isinstance(d, bool)
+                          or not isinstance(d, numbers.Integral) or d < 1):
+        raise ValueError(f"vector size must be an integer >= 1, got {d!r}")
     if len(S) == 1:
         return TreePacking((), S, S[0], INFINITY)
 
-    if tree is None:
-        alpha = min_S_cut_multigraph(mg, S)
-    elif tree.nodes != mg.nodes:
-        raise ValueError("cut tree and multigraph have different nodes")
-    else:
-        alpha = int(round(mg.scale * min_S_cut(None, S, tree)))
-
+    alpha = int(round(mg.scale * min_S_cut(mg.graph, S)))
     torus = _detect_torus2d(mg)
     if torus is not None:
         side, copies = torus

@@ -84,5 +84,17 @@ def random_graph_spec(rng, n_max=7, w_max=9, h_max=4):
     }
 
 
+def random_infinite_links_spec(rng, n_max=7, w_max=9):
+    """:func:`random_graph_spec` with at least one infinite link and at
+    least one finite link."""
+    spec = random_graph_spec(rng, n_max, w_max)
+    while len(spec["links"]) < 2:
+        spec = random_graph_spec(rng, n_max, w_max)
+    links = spec["links"]
+    for i in rng.sample(range(len(links)), rng.randint(1, len(links) - 1)):
+        links[i]["bandwidth"] = "inf"
+    return spec
+
+
 def assert_close(a, b, rel=1e-12):
     assert math.isclose(a, b, rel_tol=rel, abs_tol=rel), (a, b)

@@ -13,7 +13,8 @@ from flowsgd import topologies
 from flowsgd.graph_core import _FlowNetwork
 
 import oracles
-from conftest import FIVE_NODE_SPEC, random_graph_spec, spec_edges
+from conftest import (FIVE_NODE_SPEC, random_graph_spec,
+                      random_infinite_links_spec, spec_edges)
 
 
 def test_build_five_node_graph(five_node):
@@ -187,10 +188,6 @@ def test_unit_multigraph_thirds_and_sevenths():
 def test_unit_multigraph_is_built_once_per_graph(five_node):
     mg = unit_multigraph(five_node)
     assert unit_multigraph(five_node) is mg
-    # an undirected view is not cached: each call builds a new multigraph
-    und = five_node.undirected()
-    assert unit_multigraph(und) == mg
-    assert unit_multigraph(und) is not unit_multigraph(und)
 
 
 def test_unit_multigraph_rejects_infinite():
@@ -218,6 +215,16 @@ def test_finite_proxy_needs_a_finite_link():
                      "links": [{"a": 1, "b": 2, "bandwidth": "inf"}]})
     with pytest.raises(ValueError):
         finite_bandwidth_proxy(g)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+def test_unit_multigraph_of_infinite_links_is_the_proxys(seed):
+    g = build_graph(random_infinite_links_spec(random.Random(seed)))
+    proxy = finite_bandwidth_proxy(g)
+    assert proxy is not g
+    mg = unit_multigraph(g)
+    assert mg is unit_multigraph(proxy)
+    assert mg.graph is proxy
 
 
 # -- peeling --

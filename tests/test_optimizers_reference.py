@@ -25,7 +25,7 @@ import pytest
 import oracles
 from flowsgd import (Objective, ProblemParams, StochasticOracle,
                      TrainingTrace, find_fastest_subset,
-                     finite_bandwidth_proxy, gomory_hu_tree, grace_sgd,
+                     finite_bandwidth_proxy, grace_sgd,
                      grace_target_batch, hero_sgd, leon_sgd, leon_stop_rule,
                      make_objective, pack_steiner_trees, run_allreduce,
                      run_gradient_computation, run_naive_sync_round,
@@ -46,7 +46,7 @@ def _allreduce_seconds(g, terminals, d, mode):
         return 0.0
     g = finite_bandwidth_proxy(g)
     mg = unit_multigraph(g)
-    packing = pack_steiner_trees(mg, tuple(terminals), gomory_hu_tree(g))
+    packing = pack_steiner_trees(mg, tuple(terminals))
     trace, _ = run_allreduce(g, packing, d, mode=mode)
     return trace.completion_time
 

@@ -21,7 +21,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowsgd import (SteinerTree, build_graph, gomory_hu_tree,
+from flowsgd import (SteinerTree, build_graph,
                      min_S_cut_multigraph, orient_to_pivot,
                      pack_steiner_trees, run_allreduce, topologies,
                      unit_multigraph, verify_packing)
@@ -238,7 +238,7 @@ def test_cluster_subset_packs_up_to_d_shallow_trees():
     mg = unit_multigraph(g)
     S = tuple(range(1, 11))
     for d in (128, 1000):
-        packing = pack_steiner_trees(mg, S, gomory_hu_tree(g), d=d)
+        packing = pack_steiner_trees(mg, S, d=d)
         assert packing.alpha == 900
         assert packing.p == min(packing.alpha, d)
         assert _depth(packing) <= 2
@@ -285,6 +285,18 @@ def test_torus_construction_is_capped_at_d():
         assert verify_packing(packing, mg, g.nodes).valid
     with pytest.raises(ValueError, match="vector size"):
         pack_steiner_trees(mg, g.nodes, d=0)
+
+
+@pytest.mark.parametrize("g", [topologies.p_torus(5), topologies.ring(6)],
+                         ids=["torus", "breadth_first"])
+def test_cap_must_be_an_integer_of_at_least_one(g):
+    mg = unit_multigraph(g)
+    for d in (2.5, 2.0, True, False, 0, -3):
+        with pytest.raises(ValueError, match="vector size"):
+            pack_steiner_trees(mg, g.nodes, d=d)
+    with pytest.raises(TypeError):  # d is keyword-only
+        pack_steiner_trees(mg, g.nodes, 2)
+    assert pack_steiner_trees(mg, g.nodes, d=2).p == 2
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6),

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from flowsgd import (INFINITY, ProblemParams, SimTimeoutError, SimTrace,
                      SteinerTree, TraceEvent, TreePacking, audit_capacity,
-                     batch_collection_bound, build_graph, leon_stop_rule,
+                     batch_collection_bound, build_graph,
+                     finite_bandwidth_proxy, leon_stop_rule,
                      pack_steiner_trees, run_allreduce,
                      run_gradient_computation, run_naive_sync_round,
                      run_separate_transfers, shared_edge_rates,
@@ -16,7 +17,7 @@ from flowsgd import (INFINITY, ProblemParams, SimTimeoutError, SimTrace,
 from flowsgd import topologies
 
 import oracles
-from conftest import FIVE_NODE_SPEC, LINE_SPEC
+from conftest import FIVE_NODE_SPEC, LINE_SPEC, random_infinite_links_spec
 
 
 def packed(g, S=None):
@@ -161,6 +162,31 @@ def test_allreduce_argument_validation():
         run_allreduce(g, pk, 100, mode="teleport")
     with pytest.raises(ValueError):
         run_allreduce(g, pk, 0)
+
+
+@pytest.mark.parametrize("d", [-5, 0, math.nan, math.inf])
+@pytest.mark.parametrize("run", [
+    lambda g, d: run_allreduce(g, packed(g), d),
+    lambda g, d: run_naive_sync_round(g, 1, d),
+    lambda g, d: run_separate_transfers(g, (2, 3), 1, d),
+], ids=["allreduce", "naive_sync_round", "separate_transfers"])
+def test_vector_size_must_be_finite_and_positive(run, d):
+    with pytest.raises(ValueError, match="vector size"):
+        run(topologies.ring(6), d)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=2000))
+@settings(max_examples=40)
+def test_allreduce_over_infinite_links_times_the_proxy(seed, d):
+    g = build_graph(random_infinite_links_spec(random.Random(seed)))
+    proxy = finite_bandwidth_proxy(g)
+    pk = packed(g)
+    trace, schedule = run_allreduce(g, pk, d)
+    ref, ref_schedule = run_allreduce(proxy, pk, d)
+    assert trace.events == ref.events
+    assert trace.completion_time == ref.completion_time
+    assert schedule == ref_schedule
 
 
 def test_store_and_forward_pays_per_hop():
